@@ -10,9 +10,14 @@
 #include <string>
 #include <vector>
 
+#include "core/action_space.hpp"
+#include "core/runner.hpp"
+#include "core/thermal_manager.hpp"
 #include "obs/metrics.hpp"
 #include "obs/session.hpp"
 #include "serve/fleet.hpp"
+#include "store/policy_checkpoint.hpp"
+#include "workload/app_spec.hpp"
 
 namespace rltherm::serve {
 namespace {
@@ -97,6 +102,61 @@ TEST(FleetDeterminismTest, SliceSizeDoesNotChangeTheTrace) {
   FleetService coarse(coarseConfig);
   ASSERT_TRUE(coarse.submit(probeRequest()).accepted);
   EXPECT_EQ(probeHashAfterPasses(coarse, 1), sliced);
+}
+
+// A tenant is the runner's closed loop, not a look-alike: restoring the
+// tenant's cached family checkpoint into a fresh manager and driving it
+// through PolicyRunner::run on the same spec reproduces the tenant's epoch
+// log, sim time, completions and sample count bit for bit. Covered once with
+// the safety stop and once with the scenario running to completion.
+TEST(FleetDeterminismTest, TenantEqualsAStandalonePolicyRunnerRun) {
+  for (const Seconds maxTenantSimTime : {300.0, 1000.0}) {
+    FleetServiceConfig config = fastConfig(1);
+    config.maxTenantSimTime = maxTenantSimTime;
+    FleetService service(config);
+    AdmitRequest request = probeRequest();
+    request.family = "tachyon";  // 603 s: completes under the larger stop
+    request.dataset = 1;
+    ASSERT_TRUE(service.submit(request).accepted);
+    (void)service.runUntilIdle();
+    const auto tenant = service.query(request.tenant);
+    ASSERT_TRUE(tenant.has_value());
+    ASSERT_TRUE(tenant->done);
+
+    const auto cached = service.cache().find(tenant->fingerprint);
+    ASSERT_TRUE(cached.has_value());
+    core::ThermalManagerConfig managerConfig;
+    managerConfig.gamma = request.gamma;
+    managerConfig.stressBins = request.stressBins;
+    managerConfig.agingBins = request.agingBins;
+    managerConfig.seed = request.seed;
+    core::ThermalManager manager(managerConfig, core::ActionSpace::standard(4));
+    manager.restoreFromCheckpoint(
+        store::loadPolicyCheckpointFromBuffer(*cached, "cached family checkpoint"));
+    const std::size_t prefix = manager.epochCount();
+
+    core::RunnerConfig runnerConfig;
+    runnerConfig.machine.sensorSeed = request.seed;
+    runnerConfig.maxSimTime = maxTenantSimTime;
+    obs::MetricsRegistry metrics;
+    obs::Session session;
+    session.metrics = &metrics;
+    const obs::ScopedSession guard(session);
+    const core::RunResult result = core::PolicyRunner(runnerConfig).run(
+        workload::Scenario::of({workload::makeApp(request.family, request.dataset)}),
+        manager);
+    const std::size_t samples = metrics.counter("runner.samples.deliver").value();
+
+    EXPECT_EQ(result.timedOut, maxTenantSimTime < 600.0);
+    EXPECT_EQ(result.duration, tenant->simTime);
+    EXPECT_EQ(result.completions.size(), tenant->completions);
+    EXPECT_EQ(samples, tenant->samples);
+    EXPECT_EQ(manager.epochCount() - prefix, tenant->decisions);
+    EXPECT_EQ(epochTraceHash(manager.epochLog(), prefix, result.duration,
+                             result.completions.size(), samples),
+              tenant->traceHash)
+        << "maxTenantSimTime=" << maxTenantSimTime;
+  }
 }
 
 TEST(FleetDeterminismTest, OneTrainingServesAWholeConfigFamily) {

@@ -10,33 +10,17 @@
 // The grid runs through the sweep engine: `--jobs N` changes wall-clock
 // only, never a number in the table (bit-identical, pinned by
 // tests/fault/campaign_test.cpp). `--json [PATH]` writes the table with the
-// standard wall_ms/jobs/speedup fields. `--scenarios DIR` points at a
-// scenario directory when not running from the repo root.
+// standard wall_ms/jobs/speedup fields. `--scenarios DIR` names the
+// directory holding the scenario *.toml files (default: the repo's
+// scenarios/), as for rltherm_cli.
 #include "fault_campaign_util.hpp"
-
-namespace {
-
-std::string scenarioRoot(int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == "--scenarios") return argv[i + 1];
-  }
-  // Common launch points: repo root, build/, build/bench/.
-  for (const char* root : {".", "..", "../.."}) {
-    std::ifstream probe(std::string(root) + "/scenarios/combined_storm.toml");
-    if (probe.good()) return root;
-  }
-  throw rltherm::PreconditionError(
-      "cannot find scenarios/ (run from the repo root or pass --scenarios DIR)");
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace rltherm;
   using namespace rltherm::bench;
 
   FaultCampaignOptions options;
-  options.scenarios = standardFaultScenarios(scenarioRoot(argc, argv));
+  options.scenarios = standardFaultScenarios(scenarioDir(argc, argv));
   options.apps = {workload::tachyon(1), workload::mpegDec(1)};
   options.runner = defaultRunnerConfig();
 

@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
   using namespace rltherm;
   using namespace rltherm::bench;
 
-  const std::vector<exec::RunSpec> specs = resilienceSpecs(scenarioRoot(argc, argv));
+  const std::vector<exec::RunSpec> specs = resilienceSpecs(scenarioDir(argc, argv));
   const exec::SweepResult sweep = exec::SweepRunner(sweepOptions(argc, argv)).run(specs);
 
   TextTable table({"arm", "delivered_iter", "tainted_iter", "delivered_ratio",

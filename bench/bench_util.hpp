@@ -13,6 +13,7 @@
 #pragma once
 
 #include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -113,6 +114,27 @@ inline exec::SweepOptions sweepOptions(int argc, char** argv) {
     if (std::string(argv[i]) == "--json") options.collectScopes = true;
   }
   return options;
+}
+
+/// The one meaning of `--scenarios DIR`, for the CLI and every bench: the
+/// directory holding the scenario *.toml files. An empty `flagValue` probes
+/// scenarios/ under the usual launch points (repo root, build/, build/bench/).
+inline std::string scenarioDir(const std::string& flagValue) {
+  if (!flagValue.empty()) return flagValue;
+  for (const char* root : {".", "..", "../.."}) {
+    const std::string dir = std::string(root) + "/scenarios";
+    if (std::filesystem::is_directory(dir)) return dir;
+  }
+  throw PreconditionError(
+      "cannot find scenarios/ (run from the repo root or pass --scenarios DIR)");
+}
+
+/// `--scenarios DIR` support for the bench binaries (see above).
+inline std::string scenarioDir(int argc, char** argv) {
+  for (int i = 1; i + 1 < argc; ++i) {
+    if (std::string(argv[i]) == "--scenarios") return scenarioDir(std::string(argv[i + 1]));
+  }
+  return scenarioDir(std::string());
 }
 
 /// Spec builders mirroring the serial helpers above, for submission through

@@ -41,14 +41,14 @@ struct FaultCampaignOptions {
 };
 
 /// The standard in-tree scenario set (scenarios/*.toml) plus the clean
-/// baseline lane. `root` is the repo root or any directory holding
-/// scenarios/.
-inline std::vector<FaultScenario> standardFaultScenarios(const std::string& root) {
+/// baseline lane. `dir` is the scenario directory (see scenarioDir in
+/// bench_util.hpp).
+inline std::vector<FaultScenario> standardFaultScenarios(const std::string& dir) {
   std::vector<FaultScenario> out;
   out.push_back({"clean", fault::FaultPlan{}});
   for (const char* name :
        {"sensor_death", "sample_loss", "dvfs_brownout", "combined_storm"}) {
-    const std::string path = root + "/scenarios/" + std::string(name) + ".toml";
+    const std::string path = dir + "/" + std::string(name) + ".toml";
     out.push_back({name, fault::FaultPlan::fromFile(path)});
   }
   return out;

@@ -12,7 +12,6 @@
 // agent can see and do (see resilienceSpecs below).
 #pragma once
 
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -22,21 +21,6 @@
 #include "resil/replication.hpp"
 
 namespace rltherm::bench {
-
-/// Directory containing scenarios/: `--scenarios DIR` wins, else probe the
-/// working directory and its two parents (repo root, build/, build/bench/).
-inline std::string scenarioRoot(int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == "--scenarios") return argv[i + 1];
-  }
-  for (const char* root : {".", "..", "../.."}) {
-    std::ifstream probe(std::string(root) +
-                        "/scenarios/fault_storm_replication.toml");
-    if (probe.good()) return root;
-  }
-  throw PreconditionError(
-      "cannot find scenarios/ (run from the repo root or pass --scenarios DIR)");
-}
 
 /// The two campaign arms as sweep specs, in report order:
 ///
@@ -51,10 +35,10 @@ inline std::string scenarioRoot(int argc, char** argv) {
 ///                    event-triggered SMDP epochs so a detection lets it
 ///                    act immediately.
 ///
-/// `root` is any directory holding scenarios/ (see scenarioRoot).
-inline std::vector<exec::RunSpec> resilienceSpecs(const std::string& root) {
+/// `dir` is the scenario directory (see scenarioDir in bench_util.hpp).
+inline std::vector<exec::RunSpec> resilienceSpecs(const std::string& dir) {
   const fault::FaultPlan storm =
-      fault::FaultPlan::fromFile(root + "/scenarios/fault_storm_replication.toml");
+      fault::FaultPlan::fromFile(dir + "/fault_storm_replication.toml");
   const std::vector<workload::AppSpec> apps = {workload::tachyon(1),
                                                workload::mpegDec(1)};
 

@@ -1,24 +1,32 @@
 #!/usr/bin/env bash
 # CI correctness driver: build + test under ASan/UBSan with runtime contracts
-# enabled, gate the fault-injection and checkpoint-store suites, lint the
-# scenario files, smoke the train/inspect workflow, vet the parallel sweep
-# engine under TSan, then run the project lint and (when available)
-# clang-tidy. Any finding fails the script. See docs/ANALYSIS.md.
+# enabled, compile the Release (-O3) tree, gate the fault-injection and
+# checkpoint-store suites, lint the scenario files, smoke the train/inspect
+# workflow, vet the parallel sweep engine under TSan, then run the project
+# lint and (when available) clang-tidy. Any finding fails the script. See
+# docs/ANALYSIS.md.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 JOBS="${JOBS:-$(nproc)}"
 
-echo "== [1/13] configure (preset: asan-ubsan) =="
+echo "== [1/14] configure (preset: asan-ubsan) =="
 cmake --preset asan-ubsan
 
-echo "== [2/13] build =="
+echo "== [2/14] build =="
 cmake --build --preset asan-ubsan -j "${JOBS}"
 
-echo "== [3/13] ctest (ASan+UBSan, RLTHERM_CHECKED=ON) =="
+echo "== [3/14] Release build (-O3, warnings as errors) =="
+# Every build type must compile: -O3 enables GCC diagnostics (-Wrestrict,
+# -Wstringop-*, -Warray-bounds) that the RelWithDebInfo and sanitizer trees
+# never see.
+cmake -S . -B build-release -DCMAKE_BUILD_TYPE=Release >/dev/null
+cmake --build build-release -j "${JOBS}"
+
+echo "== [4/14] ctest (ASan+UBSan, RLTHERM_CHECKED=ON) =="
 ctest --preset asan-ubsan -j "${JOBS}"
 
-echo "== [4/13] fault suite gate (ctest -L faults) + scenario lint =="
+echo "== [5/14] fault suite gate (ctest -L faults) + scenario lint =="
 # The full run above includes these, but gate on the label explicitly so a
 # test-registration regression (lost LABELS faults) fails loudly instead of
 # silently shrinking coverage. -L with no matching tests exits zero, hence
@@ -31,7 +39,7 @@ fi
 ctest --preset asan-ubsan -L faults -j "${JOBS}"
 ./build-asan-ubsan/tools/rltherm_cli faults --lint --scenarios scenarios
 
-echo "== [5/13] store suite gate (ctest -L store) =="
+echo "== [6/14] store suite gate (ctest -L store) =="
 # Same vacuity guard as the fault gate: the corruption property tests MUST
 # execute under the sanitizers, so a lost 'store' label fails the script.
 STORE_COUNT="$(ctest --preset asan-ubsan -L store -N | sed -n 's/^Total Tests: //p')"
@@ -41,7 +49,7 @@ if [ "${STORE_COUNT:-0}" -eq 0 ]; then
 fi
 ctest --preset asan-ubsan -L store -j "${JOBS}"
 
-echo "== [6/13] thermal equivalence gate (ctest -L thermal) =="
+echo "== [7/14] thermal equivalence gate (ctest -L thermal) =="
 # The structured-fast-path property suite (dense-vs-structured equivalence,
 # exactness, the wrong-tolerance canary, cache semantics) MUST execute under
 # the sanitizers; a lost 'thermal' label fails the script like the fault and
@@ -53,7 +61,7 @@ if [ "${THERMAL_COUNT:-0}" -eq 0 ]; then
 fi
 ctest --preset asan-ubsan -L thermal -j "${JOBS}"
 
-echo "== [7/13] resilience gate (ctest -L resil) + acceptance campaign =="
+echo "== [8/14] resilience gate (ctest -L resil) + acceptance campaign =="
 # Same vacuity guard as the other label gates: every taint/merge path and
 # checkpoint decode in the resilience suite MUST execute under the
 # sanitizers, so a lost 'resil' label fails the script.
@@ -75,7 +83,7 @@ cmake -S . -B build >/dev/null
 cmake --build build -j "${JOBS}" --target bench_resilience
 RESIL_TMP="$(mktemp /tmp/rltherm_resilience.XXXXXX.json)"
 trap 'rm -f "${RESIL_TMP}"' EXIT
-./build/bench/bench_resilience --jobs 2 --scenarios . \
+./build/bench/bench_resilience --jobs 2 --scenarios scenarios \
   --json "${RESIL_TMP}" >/dev/null
 if command -v python3 >/dev/null 2>&1; then
   python3 - "${RESIL_TMP}" <<'PY'
@@ -103,12 +111,12 @@ else
   echo "python3 not found on PATH; the ctest acceptance suite above already gated the campaign."
 fi
 
-echo "== [8/13] concurrency tests under TSan (ctest -L concurrency) =="
+echo "== [9/14] concurrency tests under TSan (ctest -L concurrency) =="
 cmake --preset tsan >/dev/null
 cmake --build --preset tsan -j "${JOBS}" --target rltherm_concurrency_tests
 ctest --preset tsan -L concurrency -j "${JOBS}"
 
-echo "== [9/13] events-JSONL smoke (rltherm_cli --events) =="
+echo "== [10/14] events-JSONL smoke (rltherm_cli --events) =="
 EVENTS_TMP="$(mktemp /tmp/rltherm_events.XXXXXX.jsonl)"
 trap 'rm -f "${EVENTS_TMP}" "${RESIL_TMP}"' EXIT
 ./build-asan-ubsan/tools/rltherm_cli run --app mpeg_dec --policy linux-ondemand \
@@ -134,10 +142,10 @@ else
   echo "python3 not found on PATH; checked the event log is non-empty only."
 fi
 
-echo "== [10/13] checkpoint train/inspect smoke (rltherm_cli train + inspect --json) =="
+echo "== [11/14] checkpoint train/inspect smoke (rltherm_cli train + inspect --json) =="
 CKPT_TMP="$(mktemp -d /tmp/rltherm_ckpt.XXXXXX)"
 trap 'rm -f "${EVENTS_TMP}" "${RESIL_TMP}"; rm -rf "${CKPT_TMP}"' EXIT
-printf '[runner]\nmax_sim_time = 400\nanalysis_warmup = 10\nanalysis_cooldown = 5\n\n[manager]\nsampling_interval = 0.5\ndecision_epoch = 2.0\n' \
+printf '[runner]\nmax_sim_time = 400\nwarmup = 10\ncooldown = 5\n\n[manager]\nsampling_interval = 0.5\ndecision_epoch = 2.0\n' \
   > "${CKPT_TMP}/tiny.ini"
 ./build-asan-ubsan/tools/rltherm_cli train --config "${CKPT_TMP}/tiny.ini" \
   --out "${CKPT_TMP}/policy.ckpt" >/dev/null
@@ -161,7 +169,7 @@ else
   echo "python3 not found on PATH; checked inspect runs only."
 fi
 
-echo "== [11/13] static analysis =="
+echo "== [12/14] static analysis =="
 # Gate on the committed baseline: pre-existing findings are inventoried in
 # tools/lint_baseline.json, anything NEW fails. --json so the finding list
 # is machine-readable in CI logs; stale-baseline notes land on stderr.
@@ -192,7 +200,7 @@ else
   echo "clang-tidy not found on PATH; skipping (rltherm_lint still ran)."
 fi
 
-echo "== [12/13] perf gate (bench_micro_kernels --json vs committed baseline) =="
+echo "== [13/14] perf gate (bench_micro_kernels --json vs committed baseline) =="
 # Timing happens on the PLAIN optimized build — sanitizer trees distort
 # every number (the gate's fingerprint check would refuse them anyway).
 cmake -S . -B build >/dev/null
@@ -279,7 +287,7 @@ else
   echo "python3 not found on PATH; skipping the fast-path speedup assertions."
 fi
 
-echo "== [13/13] fleet-service gate (ctest -L serve) + serve protocol smoke =="
+echo "== [14/14] fleet-service gate (ctest -L serve) + serve protocol smoke =="
 # Same vacuity guard as the other label gates: the protocol golden tests and
 # the alone-vs-interleaved bit-identity suite MUST execute under the
 # sanitizers, so a lost 'serve' label fails the script.

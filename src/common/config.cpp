@@ -5,16 +5,10 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/strict_file.hpp"
 
 namespace rltherm {
 namespace {
-
-std::string trim(const std::string& s) {
-  const auto begin = s.find_first_not_of(" \t\r");
-  if (begin == std::string::npos) return "";
-  const auto end = s.find_last_not_of(" \t\r");
-  return s.substr(begin, end - begin + 1);
-}
 
 std::string lower(std::string s) {
   std::transform(s.begin(), s.end(), s.begin(),
@@ -39,13 +33,13 @@ ConfigFile ConfigFile::parse(std::istream& in) {
     // Strip comments (both styles), then whitespace.
     const auto hash = line.find_first_of("#;");
     if (hash != std::string::npos) line.erase(hash);
-    const std::string trimmed = trim(line);
+    const std::string trimmed = trimWhitespace(line);
     if (trimmed.empty()) continue;
 
     if (trimmed.front() == '[') {
       expects(trimmed.back() == ']',
               "config line " + std::to_string(lineNumber) + ": unterminated section");
-      section = trim(trimmed.substr(1, trimmed.size() - 2));
+      section = trimWhitespace(trimmed.substr(1, trimmed.size() - 2));
       if (!config.values_.contains(section)) {
         config.values_[section];
         config.sectionOrder_.push_back(section);
@@ -56,10 +50,11 @@ ConfigFile ConfigFile::parse(std::istream& in) {
     const auto eq = trimmed.find('=');
     expects(eq != std::string::npos,
             "config line " + std::to_string(lineNumber) + ": expected key = value");
-    const std::string key = trim(trimmed.substr(0, eq));
-    const std::string value = trim(trimmed.substr(eq + 1));
+    const std::string key = trimWhitespace(trimmed.substr(0, eq));
+    const std::string value = trimWhitespace(trimmed.substr(eq + 1));
     expects(!key.empty(), "config line " + std::to_string(lineNumber) + ": empty key");
     config.set(section, key, value);
+    config.lines_[{section, key}] = static_cast<std::size_t>(lineNumber);
   }
   return config;
 }
@@ -132,8 +127,27 @@ void ConfigFile::set(const std::string& section, const std::string& key,
   sectionMap[key] = value;
 }
 
+void ConfigFile::requireKnownKeys(const std::function<void(const ConfigFile&)>& read,
+                                  const std::string& source) const {
+  std::set<Key> looked;
+  ConfigFile probe = *this;
+  probe.lookups_ = &looked;
+  read(probe);
+  for (const std::string& section : sectionOrder_) {
+    for (const std::string& key : keys(section)) {
+      if (looked.contains({section, key})) continue;
+      const auto line = lines_.find({section, key});
+      failParse(source, line == lines_.end() ? 0 : line->second,
+                "unknown key '" + key + "' " +
+                    (section.empty() ? std::string("outside any [section]")
+                                     : "in [" + section + "]"));
+    }
+  }
+}
+
 std::optional<std::string> ConfigFile::lookup(const std::string& section,
                                               const std::string& key) const {
+  if (lookups_ != nullptr) lookups_->emplace(section, key);
   const auto sectionIt = values_.find(section);
   if (sectionIt == values_.end()) return std::nullopt;
   const auto keyIt = sectionIt->second.find(key);

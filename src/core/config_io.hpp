@@ -14,7 +14,12 @@
 //               gamma, adaptive_sampling, decision_overhead, seed,
 //               intra_threshold_aging, inter_threshold_aging
 //   [runner]    trace_interval, max_sim_time, warmup, cooldown
+//
+// Any other key is an error (requireKnownKeys): a misspelt key must fail
+// loudly, not leave its parameter at the default.
 #pragma once
+
+#include <string>
 
 #include "common/config.hpp"
 #include "core/runner.hpp"
@@ -27,5 +32,9 @@ namespace rltherm::core {
 
 /// Overlay [manager] keys onto defaults.
 [[nodiscard]] ThermalManagerConfig managerConfigFrom(const ConfigFile& config);
+
+/// Throws "source:line: unknown key 'k' in [section]" for the first key that
+/// neither runnerConfigFrom nor managerConfigFrom reads.
+void requireKnownKeys(const ConfigFile& config, const std::string& source);
 
 }  // namespace rltherm::core

@@ -112,9 +112,7 @@ ThermalManagerConfig configOf(const store::PolicyMeta& meta) {
 void emitCheckpointEvent(const char* name, const std::string& path,
                          std::uint64_t fingerprint, std::size_t epochs,
                          double qCoverage, Seconds simTime) {
-  if (obs::MetricsRegistry* metrics = obs::metrics()) {
-    metrics->counter(name).add();
-  }
+  obs::bumpCounter(name);
   if (obs::events() != nullptr) {
     obs::emit(obs::Event{
         .name = name,

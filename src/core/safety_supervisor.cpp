@@ -16,10 +16,6 @@ namespace rltherm::core {
 
 namespace {
 
-void bumpCounter(const char* name) {
-  if (obs::MetricsRegistry* metrics = obs::metrics()) metrics->counter(name).add();
-}
-
 /// Median of a small non-empty vector (by copy; channel counts are tiny).
 Celsius medianOf(std::vector<Celsius> values) {
   const std::size_t mid = values.size() / 2;
@@ -138,7 +134,7 @@ bool SafetySupervisor::refreshHealthSnapshot(PolicyContext& ctx, Seconds now) {
       // replication placement keys off.
       retired = true;
       ++stats_.coresRetired;
-      bumpCounter("safety.core.retired");
+      obs::bumpCounter("safety.core.retired");
       if (obs::events() != nullptr) {
         obs::emit(obs::Event{
             .name = "safety.core.retired",
@@ -172,7 +168,7 @@ void SafetySupervisor::quarantine(std::size_t channel, Seconds now, const char* 
   channels_[channel].health = SensorHealth::Quarantined;
   ++stats_.quarantines;
   if (!firstQuarantine_.has_value()) firstQuarantine_ = now;
-  bumpCounter("safety.sensor.quarantine");
+  obs::bumpCounter("safety.sensor.quarantine");
   if (obs::events() != nullptr) {
     obs::emit(obs::Event{
         .name = "safety.sensor.quarantine",
@@ -188,7 +184,7 @@ void SafetySupervisor::quarantine(std::size_t channel, Seconds now, const char* 
 void SafetySupervisor::restore(std::size_t channel, Seconds now) {
   channels_[channel].health = SensorHealth::Healthy;
   ++stats_.restores;
-  bumpCounter("safety.sensor.restore");
+  obs::bumpCounter("safety.sensor.restore");
   if (obs::events() != nullptr) {
     obs::emit(obs::Event{
         .name = "safety.sensor.restore",
@@ -361,7 +357,7 @@ void SafetySupervisor::superviseActuation(PolicyContext& ctx) {
 
   ++retriesUsed_;
   ++stats_.actuationRetries;
-  bumpCounter("safety.actuation.retry");
+  obs::bumpCounter("safety.actuation.retry");
   if (obs::events() != nullptr) {
     obs::emit(obs::Event{
         .name = "safety.actuation.retry",
@@ -394,7 +390,7 @@ void SafetySupervisor::enterEmergency(PolicyContext& ctx, Seconds now,
     innerWasFrozenBeforeEmergency_ = manager->frozen();
   }
   freezeInner();
-  bumpCounter("safety.emergency.enter");
+  obs::bumpCounter("safety.emergency.enter");
   if (obs::events() != nullptr) {
     obs::emit(obs::Event{
         .name = "safety.emergency.enter",
@@ -441,7 +437,7 @@ void SafetySupervisor::maintainEmergency(PolicyContext& ctx, Seconds now,
     emergency_ = false;
     emergencyTotal_ += now - emergencyEnteredAt_;
     if (!innerWasFrozenBeforeEmergency_) unfreezeInner();
-    bumpCounter("safety.emergency.exit");
+    obs::bumpCounter("safety.emergency.exit");
     if (obs::events() != nullptr) {
       obs::emit(obs::Event{
           .name = "safety.emergency.exit",

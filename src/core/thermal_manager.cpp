@@ -84,9 +84,7 @@ void ThermalManager::onSample(PolicyContext& ctx, std::span<const Celsius> senso
                    "onSample: sensor reading must be finite");
     if (reading < config_.plausibleFloor) {
       reading = config_.plausibleFloor;
-      if (obs::MetricsRegistry* metrics = obs::metrics()) {
-        metrics->counter("manager.samples.implausible").add();
-      }
+      obs::bumpCounter("manager.samples.implausible");
     }
     epochSamples_[c].push_back(reading);
   }
@@ -130,9 +128,7 @@ void ThermalManager::onEpoch(PolicyContext& ctx) {
         std::max(ctx.machine.now() - lastEpochTime_, ctx.machine.tickLength());
     gammaEff = std::pow(config_.gamma, tau / config_.decisionEpoch);
     if (eventTriggered) {
-      if (obs::MetricsRegistry* metrics = obs::metrics()) {
-        metrics->counter("manager.epoch.event").add();
-      }
+      obs::bumpCounter("manager.epoch.event");
       if (obs::events() != nullptr) {
         obs::emit(obs::Event{.name = "manager.epoch.event",
                              .simTime = ctx.machine.now(),

@@ -36,10 +36,6 @@ void emitFaultEvent(const char* name, Seconds now, const FaultEvent& event) {
       }});
 }
 
-void bumpCounter(const char* name) {
-  if (obs::MetricsRegistry* metrics = obs::metrics()) metrics->counter(name).add();
-}
-
 void emitCoreEvent(const char* name, Seconds now, const FaultEvent& event) {
   if (obs::events() == nullptr) return;
   obs::emit(obs::Event{
@@ -95,14 +91,14 @@ void FaultInjector::attach(platform::Machine& machine) {
     if (const FaultEvent* event = activeEvent(FaultKind::DvfsIgnore)) {
       ++stats_.dvfsIgnored;
       emitFaultEvent("fault.dvfs.ignore", now_, *event);
-      bumpCounter("fault.dvfs.ignore");
+      obs::bumpCounter("fault.dvfs.ignore");
       return false;
     }
     if (const FaultEvent* event = activeEvent(FaultKind::DvfsDelay)) {
       pendingGovernor_ = PendingGovernor{setting, now_ + event->delay};
       ++stats_.dvfsDeferred;
       emitFaultEvent("fault.dvfs.defer", now_, *event);
-      bumpCounter("fault.dvfs.defer");
+      obs::bumpCounter("fault.dvfs.defer");
       return false;
     }
     if (const FaultEvent* event = activeEvent(FaultKind::DvfsPartial)) {
@@ -116,7 +112,7 @@ void FaultInjector::attach(platform::Machine& machine) {
       }
       ++stats_.dvfsPartial;
       emitFaultEvent("fault.dvfs.partial", now_, *event);
-      bumpCounter("fault.dvfs.partial");
+      obs::bumpCounter("fault.dvfs.partial");
       return false;
     }
     return true;
@@ -143,14 +139,14 @@ void FaultInjector::applySensorEvent(const FaultEvent& event) {
                                   event.parameter);
   ++stats_.sensorFaultsApplied;
   emitFaultEvent("fault.sensor.inject", now_, event);
-  bumpCounter("fault.sensor.inject");
+  obs::bumpCounter("fault.sensor.inject");
 }
 
 void FaultInjector::clearSensorEvent(const FaultEvent& event) {
   machine_->sensors().clearFault(event.channel);
   ++stats_.sensorFaultsCleared;
   emitFaultEvent("fault.sensor.clear", now_, event);
-  bumpCounter("fault.sensor.clear");
+  obs::bumpCounter("fault.sensor.clear");
 }
 
 void FaultInjector::advanceTo(Seconds now) {
@@ -172,15 +168,15 @@ void FaultInjector::advanceTo(Seconds now) {
       if (event.kind == FaultKind::CoreDead) {
         ++stats_.coresRetired;
         emitCoreEvent("fault.core.dead", now, event);
-        bumpCounter("fault.core.dead");
+        obs::bumpCounter("fault.core.dead");
       } else if (wantOffline) {
         ++stats_.coreOfflines;
         emitCoreEvent("fault.core.offline", now, event);
-        bumpCounter("fault.core.offline");
+        obs::bumpCounter("fault.core.offline");
       } else {
         ++stats_.coreOnlines;
         emitCoreEvent("fault.core.online", now, event);
-        bumpCounter("fault.core.online");
+        obs::bumpCounter("fault.core.online");
       }
       continue;
     }
@@ -209,7 +205,7 @@ void FaultInjector::advanceTo(Seconds now) {
               obs::field("due", pending.due),
           }});
     }
-    bumpCounter("fault.dvfs.apply");
+    obs::bumpCounter("fault.dvfs.apply");
   }
 }
 
@@ -228,7 +224,7 @@ std::optional<std::vector<Celsius>> FaultInjector::filterSample(
   if (const FaultEvent* event = activeEvent(FaultKind::SampleDrop)) {
     ++stats_.samplesDropped;
     emitFaultEvent("fault.sample.drop", now, *event);
-    bumpCounter("fault.sample.drop");
+    obs::bumpCounter("fault.sample.drop");
     return std::nullopt;
   }
   if (const FaultEvent* event = activeEvent(FaultKind::SampleLate)) {
@@ -242,7 +238,7 @@ std::optional<std::vector<Celsius>> FaultInjector::filterSample(
     }
     ++stats_.samplesDelayed;
     emitFaultEvent("fault.sample.late", now, *event);
-    bumpCounter("fault.sample.late");
+    obs::bumpCounter("fault.sample.late");
     if (stale == nullptr) return std::nullopt;
     return stale->readings;
   }
@@ -253,7 +249,7 @@ bool FaultInjector::affinityAllowed() {
   if (const FaultEvent* event = activeEvent(FaultKind::AffinityFail)) {
     ++stats_.affinityDropped;
     emitFaultEvent("fault.affinity.drop", now_, *event);
-    bumpCounter("fault.affinity.drop");
+    obs::bumpCounter("fault.affinity.drop");
     return false;
   }
   return true;

@@ -7,7 +7,7 @@
 //             clearFault calls exactly when simulated time crosses the
 //             window edges (the bank already models stuck/offset/dead/noisy
 //             channels; the injector only schedules them),
-//   samples   the runner routes every sensor delivery through
+//   samples   the control loop routes every sensor delivery through
 //             filterSample(), which can drop a pass (sample.drop) or serve a
 //             stale one from its history buffer (sample.late),
 //   actuation machine-wide governor requests run through a
@@ -21,9 +21,10 @@
 // sensor.noise_burst is deterministic too: the extra noise is drawn from the
 // SensorBank's own seeded RNG stream.
 //
-// Ordering contract with the runner, per tick:
+// Ordering contract with core::ControlLoop (src/core/control_loop.hpp), the
+// one loop every run and fleet tenant executes, per tick:
 //
-//   machine.tick() → injector.advanceTo(machine.now()) → [readSensors() →
+//   driver.tick() → injector.advanceTo(machine.now()) → [readSensors() →
 //   injector.filterSample(...) → policy.onSample(...)]
 //
 // so window edges take effect before the sample that lands on them, and any
@@ -70,7 +71,7 @@ class FaultInjector {
 
   /// Bind to the machine under test: checks every sensor event's channel
   /// against the real core count and installs the governor interposer. The
-  /// machine must outlive the injector (the runner declares the injector
+  /// machine must outlive the injector (ControlLoop declares the injector
   /// after the machine).
   void attach(platform::Machine& machine);
 
@@ -141,7 +142,7 @@ class FaultInjector {
 
 /// WorkloadControl wrapper that drops affinity requests while an
 /// affinity.fail window is active; everything else forwards to the inner
-/// control. The runner substitutes this into the PolicyContext when a plan
+/// control. ControlLoop substitutes this into the PolicyContext when a plan
 /// is present.
 class GatedWorkloadControl final : public workload::WorkloadControl {
  public:

@@ -20,6 +20,8 @@
 #include <string>
 #include <vector>
 
+#include "obs/session.hpp"
+
 namespace rltherm::obs {
 
 class Counter {
@@ -130,5 +132,13 @@ class MetricsRegistry {
   std::map<std::string, Gauge> gauges_;
   std::map<std::string, Histogram> histograms_;
 };
+
+/// Adds `n` to the ambient registry's counter `name`. A no-op without a
+/// registry, and for n == 0 (a zero never registers a counter).
+inline void bumpCounter(const char* name, std::uint64_t n = 1) {
+  if (MetricsRegistry* registry = metrics(); registry != nullptr && n > 0) {
+    registry->counter(name).add(n);
+  }
+}
 
 }  // namespace rltherm::obs

@@ -21,7 +21,11 @@ std::string toString(GovernorKind kind) {
 std::string GovernorSetting::toString() const {
   std::string s = rltherm::platform::toString(kind);
   if (kind == GovernorKind::Userspace) {
-    s += "@" + formatFixed(userspaceFrequency / 1e9, 1) + "GHz";
+    // Appended piecewise: the "@" + ... + "GHz" chain trips a GCC 12
+    // -Wrestrict false positive at -O3.
+    s += '@';
+    s += formatFixed(userspaceFrequency / 1e9, 1);
+    s += "GHz";
   }
   return s;
 }

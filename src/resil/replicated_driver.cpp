@@ -26,11 +26,6 @@ namespace {
   return (static_cast<std::size_t>(id - 1) % 1000) / 100;
 }
 
-void bumpCounter(const char* name, std::uint64_t n = 1) {
-  if (n == 0) return;
-  if (obs::MetricsRegistry* metrics = obs::metrics()) metrics->counter(name).add(n);
-}
-
 void setGauge(const char* name, double value) {
   if (obs::MetricsRegistry* metrics = obs::metrics()) metrics->gauge(name).set(value);
 }
@@ -156,7 +151,7 @@ void ReplicatedDriver::finishGroup() {
       .iterations = static_cast<int>(delivered),
   });
   deliveredCompleted_ += delivered;
-  bumpCounter("resil.iterations.deliver", static_cast<std::uint64_t>(delivered));
+  obs::bumpCounter("resil.iterations.deliver", static_cast<std::uint64_t>(delivered));
   if (obs::events() != nullptr) {
     obs::emit(obs::Event{.name = "resil.group.finish",
                          .simTime = machine_.now(),
@@ -217,7 +212,7 @@ void ReplicatedDriver::accountReplica(std::size_t index) {
     replica.taintPending = false;
     ++taintedTotal_;
     --completedNow;
-    bumpCounter("resil.iterations.taint");
+    obs::bumpCounter("resil.iterations.taint");
   }
   if (completedNow > 0) {
     replica.credited += completedNow;
@@ -335,7 +330,7 @@ void ReplicatedDriver::applyReplication(const workload::ReplicationRequest& requ
   avoid_ = request.avoid;
   if (degree != pendingDegree_) {
     pendingDegree_ = degree;
-    bumpCounter("resil.degree.change");
+    obs::bumpCounter("resil.degree.change");
   }
   setGauge("resil.degree.pending", static_cast<double>(pendingDegree_));
   // Steering applies to the running replicas immediately — moving work off

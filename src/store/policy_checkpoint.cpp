@@ -3,6 +3,7 @@
 #include <string>
 
 #include "common/error.hpp"
+#include "common/fnv.hpp"
 #include "common/strict_file.hpp"
 
 namespace rltherm::store {
@@ -15,15 +16,6 @@ constexpr std::size_t kF64Bytes = 8;
 constexpr std::size_t kU64Bytes = 8;
 // 6 f64 + 2 u64 (eight 8-byte fields) + phase u8 + two bool bytes.
 constexpr std::size_t kEpochRecordBytes = 8 * 8 + 1 + 1 + 1;
-
-std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) noexcept {
-  std::uint64_t hash = 14695981039346656037ULL;
-  for (const std::uint8_t byte : bytes) {
-    hash ^= byte;
-    hash *= 1099511628211ULL;
-  }
-  return hash;
-}
 
 /// The canonical fingerprint encoding: every field that changes what a
 /// learned Q entry MEANS, in a fixed order. Extending this list is a format
@@ -229,7 +221,9 @@ const char* sectionName(std::uint32_t id) noexcept {
 std::uint64_t fingerprintOf(const PolicyMeta& meta) {
   ByteWriter out;
   writeFingerprintFields(out, meta);
-  return fnv1a(out.bytes());
+  Fnv1a hash;
+  hash.bytes(out.bytes().data(), out.bytes().size());
+  return hash.value();
 }
 
 CheckpointImage encodePolicyCheckpoint(const PolicyCheckpoint& checkpoint) {

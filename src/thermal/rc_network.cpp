@@ -7,6 +7,7 @@
 
 #include "common/contracts.hpp"
 #include "common/error.hpp"
+#include "common/fnv.hpp"
 #include "obs/timeline.hpp"
 #include "thermal/expop_cache.hpp"
 #include "thermal/step_operator.hpp"
@@ -14,36 +15,6 @@
 namespace rltherm::thermal {
 
 namespace {
-
-// FNV-1a(64) over a canonical little-endian byte encoding, the same hash
-// and convention the checkpoint store uses for policy fingerprints
-// (src/store/policy_checkpoint.cpp): every field that changes what the
-// prepared operators ARE, in a fixed order.
-class FingerprintHasher {
- public:
-  void bytes(const void* data, std::size_t size) noexcept {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < size; ++i) {
-      hash_ ^= p[i];
-      hash_ *= 1099511628211ULL;
-    }
-  }
-  void f64(double v) noexcept {
-    std::uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(v));
-    std::memcpy(&bits, &v, sizeof(bits));
-    u64(bits);
-  }
-  void u64(std::uint64_t v) noexcept {
-    unsigned char raw[8];
-    for (int i = 0; i < 8; ++i) raw[i] = static_cast<unsigned char>(v >> (8 * i));
-    bytes(raw, sizeof(raw));
-  }
-  [[nodiscard]] std::uint64_t value() const noexcept { return hash_; }
-
- private:
-  std::uint64_t hash_ = 14695981039346656037ULL;
-};
 
 /// Checked-build verification that G is a valid conductance matrix: symmetric
 /// and weakly diagonally dominant with a positive diagonal, which (by
@@ -192,7 +163,8 @@ void RcNetwork::prepare(Seconds stepSize, const StepOptions& options) {
   // tolerance must share a fingerprint — canonicalize it to 0 there.
   const double dropTolerance = structured ? options.dropTolerance : 0.0;
 
-  FingerprintHasher hasher;
+  // Every field that changes what the prepared operators ARE, in a fixed order.
+  Fnv1a hasher;
   hasher.bytes("rltherm-expop-v1", 16);
   hasher.u64(n);
   hasher.f64(stepSize);

@@ -16,8 +16,8 @@ file(MAKE_DIRECTORY "${WORK_DIR}")
 file(WRITE "${WORK_DIR}/tiny.ini" "
 [runner]
 max_sim_time = 400
-analysis_warmup = 10
-analysis_cooldown = 5
+warmup = 10
+cooldown = 5
 
 [manager]
 sampling_interval = 0.5
@@ -96,6 +96,13 @@ expect_fail("eval missing --policy" eval --config "${WORK_DIR}/tiny.ini")
 expect_fail("inspect unknown flag" inspect "${CKPT}" --verbose)
 expect_fail("inspect stray positional" inspect "${CKPT}" extra)
 expect_fail("inspect no file" inspect)
+
+# --- strict config keys ----------------------------------------------------
+
+# A misspelt key must fail with file:line, not run the default 40000 s.
+file(WRITE "${WORK_DIR}/typo.ini" "[runner]\nmax_sim_tme = 40\n")
+expect_fail("config typo" run --config "${WORK_DIR}/typo.ini" --app tachyon)
+expect_contains("config typo" "${ERR}" "typo.ini:2: unknown key 'max_sim_tme' in [runner]")
 
 # --- corruption diagnostics -------------------------------------------------
 

@@ -111,5 +111,32 @@ TEST(ConfigFileTest, StreamParsing) {
   EXPECT_EQ(config.getInt("s", "x", 0), 3);
 }
 
+TEST(ConfigFileTest, UnknownKeyReportsTheLineOfItsLastAssignment) {
+  const ConfigFile config = ConfigFile::parse("# header\n[s]\nx = 1\n\ny = 2\nx = 3\n");
+  try {
+    config.requireKnownKeys([](const ConfigFile& probe) { (void)probe.has("s", "y"); },
+                            "g.ini");
+    FAIL() << "an unread key was accepted";
+  } catch (const PreconditionError& error) {
+    EXPECT_STREQ(error.what(), "g.ini:6: unknown key 'x' in [s]");
+  }
+}
+
+TEST(ConfigFileTest, RequireKnownKeysRejectsTheFirstUnreadKey) {
+  const ConfigFile config = ConfigFile::parse("[s]\nread = 1\nunread = 2\nlater = 3\n");
+  const auto readOne = [](const ConfigFile& probe) { (void)probe.getInt("s", "read", 0); };
+  try {
+    config.requireKnownKeys(readOne, "f.ini");
+    FAIL() << "an unread key was accepted";
+  } catch (const PreconditionError& error) {
+    EXPECT_STREQ(error.what(), "f.ini:3: unknown key 'unread' in [s]");
+  }
+  EXPECT_NO_THROW(config.requireKnownKeys(
+      [](const ConfigFile& probe) {
+        for (const char* key : {"read", "unread", "later"}) (void)probe.has("s", key);
+      },
+      "f.ini"));
+}
+
 }  // namespace
 }  // namespace rltherm

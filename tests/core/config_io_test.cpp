@@ -102,5 +102,68 @@ TEST(ConfigIoTest, LoadedConfigsConstructWorkingObjects) {
   EXPECT_DOUBLE_EQ(manager.samplingInterval(), 1.0);
 }
 
+TEST(ConfigIoTest, EveryMappedKeyIsKnown) {
+  const ConfigFile config = ConfigFile::parse(R"(
+[machine]
+cores = 4
+tick = 0.01
+governor_period = 0.1
+warm_start = yes
+big_little = no
+thermal_cells = 1
+[thermal]
+ambient = 45
+core_capacitance = 1
+junction_to_spreader = 1
+lateral_resistance = 1
+spreader_to_sink = 1
+sink_to_ambient = 1
+spreader_capacitance = 1
+sink_capacitance = 1
+[sensor]
+quantization = 1
+noise_sigma = 0.5
+[manager]
+sampling_interval = 3
+decision_epoch = 30
+stress_bins = 4
+aging_bins = 4
+gamma = 0.75
+adaptive_sampling = no
+decision_overhead = 0.1
+seed = 1
+intra_threshold_aging = 0.1
+inter_threshold_aging = 0.3
+[runner]
+trace_interval = 1
+max_sim_time = 100
+warmup = 10
+cooldown = 5
+)");
+  EXPECT_NO_THROW(requireKnownKeys(config, "all.ini"));
+}
+
+TEST(ConfigIoTest, MisspeltKeyIsRejectedWithFileLineSectionAndKey) {
+  const ConfigFile config =
+      ConfigFile::parse("[manager]\ngamma = 0.5\n\n[runner]\nmax_sim_tme = 40\n");
+  try {
+    requireKnownKeys(config, "study.ini");
+    FAIL() << "a misspelt key was accepted";
+  } catch (const PreconditionError& error) {
+    EXPECT_STREQ(error.what(), "study.ini:5: unknown key 'max_sim_tme' in [runner]");
+  }
+}
+
+TEST(ConfigIoTest, KeysInUnknownSectionsOrOutsideSectionsAreRejected) {
+  EXPECT_THROW(requireKnownKeys(ConfigFile::parse("[runer]\nmax_sim_time = 40\n"), "a.ini"),
+               PreconditionError);
+  try {
+    requireKnownKeys(ConfigFile::parse("seed = 3\n"), "b.ini");
+    FAIL() << "a key outside any section was accepted";
+  } catch (const PreconditionError& error) {
+    EXPECT_STREQ(error.what(), "b.ini:1: unknown key 'seed' outside any [section]");
+  }
+}
+
 }  // namespace
 }  // namespace rltherm::core

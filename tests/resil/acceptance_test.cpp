@@ -29,7 +29,7 @@ double totalEnergyOf(const core::RunResult& result) {
 
 const exec::SweepResult& campaign() {
   static const exec::SweepResult sweep =
-      exec::SweepRunner({.jobs = 1}).run(resilienceSpecs(RLTHERM_REPO_ROOT));
+      exec::SweepRunner({.jobs = 1}).run(resilienceSpecs(RLTHERM_REPO_ROOT "/scenarios"));
   return sweep;
 }
 
@@ -76,7 +76,7 @@ TEST(ResilienceAcceptanceTest, CampaignIsBitIdenticalAtAnyJobsCount) {
   const exec::SweepResult& serial = campaign();
   for (const std::size_t jobs : {std::size_t{2}, std::size_t{8}}) {
     const exec::SweepResult parallel =
-        exec::SweepRunner({.jobs = jobs}).run(resilienceSpecs(RLTHERM_REPO_ROOT));
+        exec::SweepRunner({.jobs = jobs}).run(resilienceSpecs(RLTHERM_REPO_ROOT "/scenarios"));
     ASSERT_EQ(parallel.runs.size(), serial.runs.size()) << "jobs " << jobs;
     for (std::size_t i = 0; i < serial.runs.size(); ++i) {
       const core::RunResult& a = serial.runs[i].result;

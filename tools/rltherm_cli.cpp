@@ -385,6 +385,18 @@ class ObsSetup {
   bool wantSummary_ = false;
 };
 
+/// `--config FILE` (empty config without it). Every key must be one the
+/// config_io mappers read — those are also the only keys makePolicy reads.
+ConfigFile loadConfig(const Options& options) {
+  if (!options.has("config")) return {};
+  const std::string path = options.get("config", "");
+  std::ifstream in(path);
+  expects(in.good(), "cannot read config file '" + path + "'");
+  const ConfigFile config = ConfigFile::parse(in);
+  core::requireKnownKeys(config, path);
+  return config;
+}
+
 /// Owns whichever policy the --policy flag selected.
 struct PolicyBundle {
   std::unique_ptr<core::ThermalPolicy> policy;
@@ -497,12 +509,7 @@ bool isLearningPolicy(const std::string& name) {
 
 int compareCommand(const Options& options) {
   validateFlags(options, {"app", "dataset", "policies", "train", "live"});
-  ConfigFile config;
-  if (options.has("config")) {
-    std::ifstream in(options.get("config", ""));
-    expects(in.good(), "cannot read config file");
-    config = ConfigFile::parse(in);
-  }
+  const ConfigFile config = loadConfig(options);
   core::RunnerConfig runnerConfig = core::runnerConfigFrom(config);
   if (options.has("big-little")) {
     runnerConfig.machine.coreTypes = platform::bigLittleCoreTypes();
@@ -555,12 +562,7 @@ int runCommand(const Options& options) {
   }
   validateFlags(options, std::move(known));
 
-  ConfigFile config;
-  if (options.has("config")) {
-    std::ifstream in(options.get("config", ""));
-    expects(in.good(), "cannot read config file");
-    config = ConfigFile::parse(in);
-  }
+  const ConfigFile config = loadConfig(options);
   core::RunnerConfig runnerConfig = core::runnerConfigFrom(config);
   if (options.has("big-little")) {
     runnerConfig.machine.coreTypes = platform::bigLittleCoreTypes();
@@ -660,12 +662,7 @@ int runCommand(const Options& options) {
 int sweepCommand(const Options& options) {
   validateFlags(options,
                 {"apps", "dataset", "policies", "jobs", "train", "live", "seed", "json"});
-  ConfigFile config;
-  if (options.has("config")) {
-    std::ifstream in(options.get("config", ""));
-    expects(in.good(), "cannot read config file");
-    config = ConfigFile::parse(in);
-  }
+  const ConfigFile config = loadConfig(options);
   core::RunnerConfig runnerConfig = core::runnerConfigFrom(config);
   if (options.has("big-little")) {
     runnerConfig.machine.coreTypes = platform::bigLittleCoreTypes();
@@ -750,19 +747,6 @@ int sweepCommand(const Options& options) {
   return 0;
 }
 
-/// Directory holding the scenario *.toml files: `--scenarios DIR`, or the
-/// `scenarios/` next to the usual launch points (repo root, build/,
-/// build/tools/).
-std::string scenarioDir(const Options& options) {
-  if (options.has("scenarios")) return options.get("scenarios", "scenarios");
-  for (const char* root : {".", "..", "../.."}) {
-    const std::string dir = std::string(root) + "/scenarios";
-    if (std::filesystem::is_directory(dir)) return dir;
-  }
-  throw PreconditionError(
-      "cannot find scenarios/ (run from the repo root or pass --scenarios DIR)");
-}
-
 /// Every *.toml under the scenario directory, sorted for deterministic
 /// lint/campaign order.
 std::vector<std::string> scenarioFiles(const std::string& dir) {
@@ -782,7 +766,7 @@ std::vector<std::string> scenarioFiles(const std::string& dir) {
 int lintScenarios(const Options& options) {
   const std::string arg = options.get("lint", "true");
   const std::vector<std::string> files =
-      arg == "true" ? scenarioFiles(scenarioDir(options)) : splitList(arg);
+      arg == "true" ? scenarioFiles(bench::scenarioDir(options.get("scenarios", ""))) : splitList(arg);
   int failures = 0;
   for (const std::string& file : files) {
     try {
@@ -806,12 +790,7 @@ int faultsCommand(const Options& options) {
                 {"scenarios", "lint", "apps", "dataset", "jobs", "train", "seed", "json"});
   if (options.has("lint")) return lintScenarios(options);
 
-  ConfigFile config;
-  if (options.has("config")) {
-    std::ifstream in(options.get("config", ""));
-    expects(in.good(), "cannot read config file");
-    config = ConfigFile::parse(in);
-  }
+  const ConfigFile config = loadConfig(options);
 
   bench::FaultCampaignOptions campaign;
   campaign.runner = core::runnerConfigFrom(config);
@@ -827,7 +806,7 @@ int faultsCommand(const Options& options) {
   campaign.trainRepeats = std::stoi(options.get("train", "2"));
 
   campaign.scenarios.push_back({"clean", fault::FaultPlan{}});
-  for (const std::string& file : scenarioFiles(scenarioDir(options))) {
+  for (const std::string& file : scenarioFiles(bench::scenarioDir(options.get("scenarios", "")))) {
     campaign.scenarios.push_back(
         {std::filesystem::path(file).stem().string(), fault::FaultPlan::fromFile(file)});
   }
@@ -894,12 +873,7 @@ std::string jsonEscape(const std::string& s) {
 /// same code path RunnerConfig::saveCheckpointAtEnd exercises everywhere).
 int trainCommand(const Options& options) {
   validateFlags(options, {"app", "dataset", "train", "seed", "out"});
-  ConfigFile config;
-  if (options.has("config")) {
-    std::ifstream in(options.get("config", ""));
-    expects(in.good(), "cannot read config file");
-    config = ConfigFile::parse(in);
-  }
+  const ConfigFile config = loadConfig(options);
   core::RunnerConfig runnerConfig = core::runnerConfigFrom(config);
   if (options.has("big-little")) {
     runnerConfig.machine.coreTypes = platform::bigLittleCoreTypes();
@@ -946,12 +920,7 @@ int trainCommand(const Options& options) {
 /// (inference-only — no Q update, no exploration) and evaluate.
 int evalCommand(const Options& options) {
   validateFlags(options, {"policy", "app", "dataset", "csv"});
-  ConfigFile config;
-  if (options.has("config")) {
-    std::ifstream in(options.get("config", ""));
-    expects(in.good(), "cannot read config file");
-    config = ConfigFile::parse(in);
-  }
+  const ConfigFile config = loadConfig(options);
   core::RunnerConfig runnerConfig = core::runnerConfigFrom(config);
   if (options.has("big-little")) {
     runnerConfig.machine.coreTypes = platform::bigLittleCoreTypes();

@@ -5,9 +5,10 @@
 // reordered tick step, a skipped sensor read, a different trace cadence)
 // fails here even though it stays self-consistent. Each pin is an FNV-1a
 // hash over every number a run reports. The constants are the hashes the
-// code produced before the control loop was unified; a refactor of the
-// loop must leave them unchanged, in every build type (floating point is
-// strict IEEE in all presets, and RLTHERM_CHECKED only adds checks).
+// code produced before the control loop was unified (and, for the two
+// package pins, before the lumped and grid thermal packages were merged);
+// a refactor must leave them unchanged, in every build type (floating point
+// is strict IEEE in all presets, and RLTHERM_CHECKED only adds checks).
 //
 // To re-pin after a DELIBERATE behaviour change, run this binary with
 // --gtest_filter='GoldenPinTest.*', copy the printed hashes into the
@@ -187,6 +188,31 @@ TEST(GoldenPinTest, TwoAppConcurrentRunWithSampleLoss) {
       {workload::mpegDec(1), workload::tachyon(1)}, policy, 450.0);
   EXPECT_GT(result.faultStats.samplesDropped, 0u);
   EXPECT_PINNED(hashOf(result), 0x818117333f014f69ULL);
+}
+
+TEST(GoldenPinTest, NonDefaultLumpedPackageRun) {
+  // One node per core, three cores (a partial last row in the two-column
+  // layout) and non-default lateral and vertical resistances.
+  RunnerConfig config = shortRunner(900.0);
+  config.machine.coreCount = 3;
+  config.machine.thermal.lateralResistance = 2.3;
+  config.machine.thermal.junctionToSpreader = 1.37;
+  StaticGovernorPolicy linux({platform::GovernorKind::Ondemand, 0.0});
+  const RunResult result = PolicyRunner(config).run(
+      workload::Scenario::of({workload::tachyon(1), workload::mpegDec(1)}), linux);
+  EXPECT_EQ(result.coreTraces.size(), 3u);
+  EXPECT_PINNED(hashOf(result), 0x4ce79d6fd79fe698ULL);
+}
+
+TEST(GoldenPinTest, GridPackageRun) {
+  // A 2x2 cell grid per core: the sensors read each core's hottest cell.
+  RunnerConfig config = shortRunner(900.0);
+  config.machine.thermalCellsPerCoreSide = 2;
+  StaticGovernorPolicy linux({platform::GovernorKind::Ondemand, 0.0});
+  const RunResult result = PolicyRunner(config).run(
+      workload::Scenario::of({workload::tachyon(1), workload::mpegDec(1)}), linux);
+  EXPECT_FALSE(result.completions.empty());
+  EXPECT_PINNED(hashOf(result), 0xa23d4ee7babb4195ULL);
 }
 
 TEST(GoldenPinTest, FleetTenantTraceHash) {

@@ -34,29 +34,35 @@
 #include "sched/scheduler.hpp"
 #include "thermal/expop_cache.hpp"
 #include "thermal/grid_model.hpp"
-#include "thermal/quadcore.hpp"
 
 namespace {
 
 using namespace rltherm;
 
+/// The lumped quad-core package: one cell per core.
+thermal::GridPackage lumpedPackage() {
+  thermal::GridThermalConfig config;
+  config.cellsPerCoreSide = 1;
+  return thermal::GridPackage(config);
+}
+
 void BM_ThermalStep(benchmark::State& state) {
-  thermal::QuadCorePackage pkg = thermal::buildQuadCorePackage({});
-  pkg.network.prepare(0.01);
+  thermal::GridPackage pkg = lumpedPackage();
+  pkg.prepare(0.01);
   const std::vector<Watts> power = pkg.nodePower(std::vector<Watts>{8.0, 2.0, 5.0, 1.0});
   for (auto _ : state) {
-    pkg.network.step(power);
-    benchmark::DoNotOptimize(pkg.network.temperatures().data());
+    pkg.network().step(power);
+    benchmark::DoNotOptimize(pkg.network().temperatures().data());
   }
 }
 BENCHMARK(BM_ThermalStep);
 
 void BM_ThermalStepRk4(benchmark::State& state) {
-  thermal::QuadCorePackage pkg = thermal::buildQuadCorePackage({});
+  thermal::GridPackage pkg = lumpedPackage();
   const std::vector<Watts> power = pkg.nodePower(std::vector<Watts>{8.0, 2.0, 5.0, 1.0});
   for (auto _ : state) {
-    pkg.network.stepRk4(power, 0.01);
-    benchmark::DoNotOptimize(pkg.network.temperatures().data());
+    pkg.network().stepRk4(power, 0.01);
+    benchmark::DoNotOptimize(pkg.network().temperatures().data());
   }
 }
 BENCHMARK(BM_ThermalStepRk4);
@@ -279,11 +285,11 @@ std::vector<JsonKernel> jsonKernels() {
   // The quad-core RC step: the per-10ms-tick cost the ROADMAP's structured-
   // RC-step item targets. 20k steps x 0.01 s = 200 simulated seconds.
   kernels.push_back({"rc_step_quadcore", 20000, [] {
-    thermal::QuadCorePackage pkg = thermal::buildQuadCorePackage({});
-    pkg.network.prepare(0.01);
+    thermal::GridPackage pkg = lumpedPackage();
+    pkg.prepare(0.01);
     const std::vector<Watts> power =
         pkg.nodePower(std::vector<Watts>{8.0, 2.0, 5.0, 1.0});
-    for (int i = 0; i < 20000; ++i) pkg.network.step(power);
+    for (int i = 0; i < 20000; ++i) pkg.network().step(power);
     return 20000 * 0.01;
   }});
 

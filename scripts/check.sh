@@ -16,12 +16,14 @@ cmake --preset asan-ubsan
 echo "== [2/14] build =="
 cmake --build --preset asan-ubsan -j "${JOBS}"
 
-echo "== [3/14] Release build (-O3, warnings as errors) =="
+echo "== [3/14] Release build (-O3, warnings as errors) + golden pins =="
 # Every build type must compile: -O3 enables GCC diagnostics (-Wrestrict,
 # -Wstringop-*, -Warray-bounds) that the RelWithDebInfo and sanitizer trees
-# never see.
+# never see. The golden pins claim bit-identity in every build type, so the
+# -O3 tree runs them too.
 cmake -S . -B build-release -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build build-release -j "${JOBS}"
+ctest --test-dir build-release -R GoldenPinTest -j "${JOBS}"
 
 echo "== [4/14] ctest (ASan+UBSan, RLTHERM_CHECKED=ON) =="
 ctest --preset asan-ubsan -j "${JOBS}"

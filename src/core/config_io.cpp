@@ -30,14 +30,17 @@ RunnerConfig runnerConfigFrom(const ConfigFile& config) {
   overlay(config, "machine", "tick", machine.tick);
   overlay(config, "machine", "governor_period", machine.governorPeriod);
   overlay(config, "machine", "warm_start", machine.warmStart);
-  overlay(config, "machine", "thermal_cells", machine.thermalCellsPerCoreSide);
+  const long long cells = config.getInt(
+      "machine", "thermal_cells", static_cast<long long>(machine.thermalCellsPerCoreSide));
+  expects(cells >= 1, "[machine] thermal_cells must be >= 1 (1 = one node per core)");
+  machine.thermalCellsPerCoreSide = static_cast<std::size_t>(cells);
   if (config.getBool("machine", "big_little", false)) {
     machine.coreTypes = platform::bigLittleCoreTypes();
     expects(machine.coreCount == machine.coreTypes.size(),
             "big_little requires cores = 4");
   }
 
-  thermal::QuadCoreThermalConfig& t = machine.thermal;
+  thermal::PackageRcConfig& t = machine.thermal;
   overlay(config, "thermal", "ambient", t.ambient);
   overlay(config, "thermal", "core_capacitance", t.coreCapacitance);
   overlay(config, "thermal", "junction_to_spreader", t.junctionToSpreader);

@@ -5,7 +5,7 @@
 // defaults):
 //
 //   [machine]   cores, tick, governor_period, warm_start, big_little,
-//               thermal_cells
+//               thermal_cells (>= 1; 1 = one node per core)
 //   [thermal]   ambient, core_capacitance, junction_to_spreader,
 //               lateral_resistance, spreader_to_sink, sink_to_ambient,
 //               spreader_capacitance, sink_capacitance

@@ -25,7 +25,6 @@
 #include "power/power_model.hpp"
 #include "power/vf_table.hpp"
 #include "sched/scheduler.hpp"
-#include "thermal/quadcore.hpp"
 #include "thermal/grid_model.hpp"
 #include "thermal/sensor.hpp"
 
@@ -64,17 +63,12 @@ struct MachineConfig {
   Celsius throttleTemp = 90.0;
   Celsius throttleHysteresis = 8.0;
 
-  thermal::QuadCoreThermalConfig thermal;  ///< coreCount is overridden
+  thermal::PackageRcConfig thermal;
   /// Thermal plant resolution: 1 = lumped (one RC node per core, the
   /// default), N > 1 = HotSpot-style NxN cell grid per core. At grid
   /// resolution the on-board sensor reads each core's HOTTEST cell, as real
   /// per-core DTS sensors report the worst local site.
   std::size_t thermalCellsPerCoreSide = 1;
-  /// RC step-path selection (dense reference vs structured fast path, exp-
-  /// operator cache) forwarded to the plant's prepare(). The Auto default
-  /// keeps small lumped plants on the dense path and moves fine grids onto
-  /// the structured kernel.
-  thermal::StepOptions thermalStep;
   thermal::SensorConfig sensor;
   power::DynamicPowerConfig dynamicPower;
   power::LeakagePowerConfig leakage;
@@ -101,16 +95,9 @@ struct TickResult {
   Watts staticPower = 0.0;
 };
 
-/// Internal abstraction over the lumped / grid thermal plant (defined in
-/// machine.cpp).
-class ThermalPlant;
-
 class Machine {
  public:
   explicit Machine(const MachineConfig& config);
-  ~Machine();
-  Machine(Machine&&) noexcept;
-  Machine& operator=(Machine&&) noexcept;
 
   /// Thread activity supplier: called once per running thread per tick with
   /// the thread id; must return switching activity in [0, 1].
@@ -220,7 +207,7 @@ class Machine {
   power::VfTable vfTable_;
   power::DynamicPowerModel dynamicModel_;
   power::LeakagePowerModel leakageModel_;
-  std::unique_ptr<ThermalPlant> plant_;
+  thermal::GridPackage package_;
   thermal::SensorBank sensors_;
   std::unique_ptr<sched::Scheduler> scheduler_;
   power::EnergyMeter meter_;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/error.hpp"
 
 namespace rltherm::core {
@@ -64,6 +66,16 @@ TEST(ConfigIoTest, BigLittleRequiresFourCores) {
   const ConfigFile config =
       ConfigFile::parse("[machine]\ncores = 2\nbig_little = yes\n");
   EXPECT_THROW((void)runnerConfigFrom(config), PreconditionError);
+}
+
+TEST(ConfigIoTest, ThermalCellsBelowOneRejected) {
+  for (const char* cells : {"0", "-2"}) {
+    const ConfigFile config =
+        ConfigFile::parse(std::string("[machine]\nthermal_cells = ") + cells + "\n");
+    EXPECT_THROW((void)runnerConfigFrom(config), PreconditionError) << cells;
+  }
+  const ConfigFile grid = ConfigFile::parse("[machine]\ncores = 3\nthermal_cells = 2\n");
+  EXPECT_EQ(runnerConfigFrom(grid).machine.thermalCellsPerCoreSide, 2u);
 }
 
 TEST(ConfigIoTest, ManagerKeysApplied) {

@@ -193,6 +193,25 @@ TEST(GridPlantMachineTest, SensorReadsHotSpotAboveMean) {
   EXPECT_GT(machine.readSensors()[0], machine.trueCoreTemperatures()[0]);
 }
 
+TEST(GridPlantMachineTest, OddCoreCountRunsAtGridResolution) {
+  // Three cores leave the last row of the two-column layout partial; the
+  // grid resolution must handle it as the one-node-per-core default does.
+  MachineConfig config;
+  config.coreCount = 3;
+  config.thermalCellsPerCoreSide = 2;
+  config.sensor.noiseSigma = 0.0;
+  config.sensor.quantizationStep = 0.0;
+  Machine machine(config);
+  machine.setGovernor({GovernorKind::Performance, 0.0});
+  machine.scheduler().addThread(1, sched::AffinityMask::single(2));
+  const auto activity = [](ThreadId) { return 1.0; };
+  for (int i = 0; i < 500; ++i) (void)machine.tick(activity);
+  const std::vector<Celsius> temps = machine.trueCoreTemperatures();
+  ASSERT_EQ(temps.size(), 3u);
+  EXPECT_GT(temps[2], temps[1]);
+  EXPECT_GE(machine.readSensors()[2], temps[2]);
+}
+
 TEST(GridPlantMachineTest, WarmStartWorksAtGridResolution) {
   MachineConfig config;
   config.sensor.noiseSigma = 0.0;

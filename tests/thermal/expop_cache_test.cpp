@@ -68,7 +68,7 @@ TEST(ExpOpCache, FingerprintSeparatesStepSizeAndNetworkAndOptions) {
 
   // Different conductances (one resistance nudged).
   GridThermalConfig tweaked = cachedGridConfig();
-  tweaked.junctionToSpreader *= 1.01;
+  tweaked.rc.junctionToSpreader *= 1.01;
   GridPackage different(tweaked);
   different.prepare(kTick);
   EXPECT_NE(different.network().operatorFingerprint(), baseFp);

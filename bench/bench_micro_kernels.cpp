@@ -498,7 +498,7 @@ int runJsonMode(int argc, char** argv, const std::string& jsonPath) {
 
   std::ofstream out(jsonPath);
   expects(out.good(), "cannot write '" + jsonPath + "'");
-  obs::JsonWriter json(out);
+  JsonWriter json(out);
   json.beginObject();
   json.key("suite").value("micro_kernels");
   bench::writePerfSections(json, meta);

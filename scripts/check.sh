@@ -10,13 +10,13 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 JOBS="${JOBS:-$(nproc)}"
 
-echo "== [1/14] configure (preset: asan-ubsan) =="
+echo "== [1/15] configure (preset: asan-ubsan) =="
 cmake --preset asan-ubsan
 
-echo "== [2/14] build =="
+echo "== [2/15] build =="
 cmake --build --preset asan-ubsan -j "${JOBS}"
 
-echo "== [3/14] Release build (-O3, warnings as errors) + golden pins =="
+echo "== [3/15] Release build (-O3, warnings as errors) + golden pins =="
 # Every build type must compile: -O3 enables GCC diagnostics (-Wrestrict,
 # -Wstringop-*, -Warray-bounds) that the RelWithDebInfo and sanitizer trees
 # never see. The golden pins claim bit-identity in every build type, so the
@@ -25,10 +25,10 @@ cmake -S . -B build-release -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build build-release -j "${JOBS}"
 ctest --test-dir build-release -R GoldenPinTest -j "${JOBS}"
 
-echo "== [4/14] ctest (ASan+UBSan, RLTHERM_CHECKED=ON) =="
+echo "== [4/15] ctest (ASan+UBSan, RLTHERM_CHECKED=ON) =="
 ctest --preset asan-ubsan -j "${JOBS}"
 
-echo "== [5/14] fault suite gate (ctest -L faults) + scenario lint =="
+echo "== [5/15] fault suite gate (ctest -L faults) + scenario lint =="
 # The full run above includes these, but gate on the label explicitly so a
 # test-registration regression (lost LABELS faults) fails loudly instead of
 # silently shrinking coverage. -L with no matching tests exits zero, hence
@@ -41,7 +41,7 @@ fi
 ctest --preset asan-ubsan -L faults -j "${JOBS}"
 ./build-asan-ubsan/tools/rltherm_cli faults --lint --scenarios scenarios
 
-echo "== [6/14] store suite gate (ctest -L store) =="
+echo "== [6/15] store suite gate (ctest -L store) =="
 # Same vacuity guard as the fault gate: the corruption property tests MUST
 # execute under the sanitizers, so a lost 'store' label fails the script.
 STORE_COUNT="$(ctest --preset asan-ubsan -L store -N | sed -n 's/^Total Tests: //p')"
@@ -51,7 +51,19 @@ if [ "${STORE_COUNT:-0}" -eq 0 ]; then
 fi
 ctest --preset asan-ubsan -L store -j "${JOBS}"
 
-echo "== [7/14] thermal equivalence gate (ctest -L thermal) =="
+echo "== [7/15] JSON reader fuzz gate (ctest -L fuzz) =="
+# The seeded byte-mutation run over the shared JSON reader
+# (tests/common/json_test.cpp) MUST execute under the sanitizers: every
+# mutant either parses or returns an error, and ASan/UBSan see every path in
+# between. A lost 'fuzz' label fails the script like the other label gates.
+FUZZ_COUNT="$(ctest --preset asan-ubsan -L fuzz -N | sed -n 's/^Total Tests: //p')"
+if [ "${FUZZ_COUNT:-0}" -eq 0 ]; then
+  echo "no tests carry the 'fuzz' label; the JSON reader fuzz gate is vacuous"
+  exit 1
+fi
+ctest --preset asan-ubsan -L fuzz -j "${JOBS}"
+
+echo "== [8/15] thermal equivalence gate (ctest -L thermal) =="
 # The structured-fast-path property suite (dense-vs-structured equivalence,
 # exactness, the wrong-tolerance canary, cache semantics) MUST execute under
 # the sanitizers; a lost 'thermal' label fails the script like the fault and
@@ -63,7 +75,7 @@ if [ "${THERMAL_COUNT:-0}" -eq 0 ]; then
 fi
 ctest --preset asan-ubsan -L thermal -j "${JOBS}"
 
-echo "== [8/14] resilience gate (ctest -L resil) + acceptance campaign =="
+echo "== [9/15] resilience gate (ctest -L resil) + acceptance campaign =="
 # Same vacuity guard as the other label gates: every taint/merge path and
 # checkpoint decode in the resilience suite MUST execute under the
 # sanitizers, so a lost 'resil' label fails the script.
@@ -113,12 +125,12 @@ else
   echo "python3 not found on PATH; the ctest acceptance suite above already gated the campaign."
 fi
 
-echo "== [9/14] concurrency tests under TSan (ctest -L concurrency) =="
+echo "== [10/15] concurrency tests under TSan (ctest -L concurrency) =="
 cmake --preset tsan >/dev/null
 cmake --build --preset tsan -j "${JOBS}" --target rltherm_concurrency_tests
 ctest --preset tsan -L concurrency -j "${JOBS}"
 
-echo "== [10/14] events-JSONL smoke (rltherm_cli --events) =="
+echo "== [11/15] events-JSONL smoke (rltherm_cli --events) =="
 EVENTS_TMP="$(mktemp /tmp/rltherm_events.XXXXXX.jsonl)"
 trap 'rm -f "${EVENTS_TMP}" "${RESIL_TMP}"' EXIT
 ./build-asan-ubsan/tools/rltherm_cli run --app mpeg_dec --policy linux-ondemand \
@@ -144,7 +156,7 @@ else
   echo "python3 not found on PATH; checked the event log is non-empty only."
 fi
 
-echo "== [11/14] checkpoint train/inspect smoke (rltherm_cli train + inspect --json) =="
+echo "== [12/15] checkpoint train/inspect smoke (rltherm_cli train + inspect --json) =="
 CKPT_TMP="$(mktemp -d /tmp/rltherm_ckpt.XXXXXX)"
 trap 'rm -f "${EVENTS_TMP}" "${RESIL_TMP}"; rm -rf "${CKPT_TMP}"' EXIT
 printf '[runner]\nmax_sim_time = 400\nwarmup = 10\ncooldown = 5\n\n[manager]\nsampling_interval = 0.5\ndecision_epoch = 2.0\n' \
@@ -171,7 +183,7 @@ else
   echo "python3 not found on PATH; checked inspect runs only."
 fi
 
-echo "== [12/14] static analysis =="
+echo "== [13/15] static analysis =="
 # Gate on the committed baseline: pre-existing findings are inventoried in
 # tools/lint_baseline.json, anything NEW fails. --json so the finding list
 # is machine-readable in CI logs; stale-baseline notes land on stderr.
@@ -202,7 +214,7 @@ else
   echo "clang-tidy not found on PATH; skipping (rltherm_lint still ran)."
 fi
 
-echo "== [13/14] perf gate (bench_micro_kernels --json vs committed baseline) =="
+echo "== [14/15] perf gate (bench_micro_kernels --json vs committed baseline) =="
 # Timing happens on the PLAIN optimized build — sanitizer trees distort
 # every number (the gate's fingerprint check would refuse them anyway).
 cmake -S . -B build >/dev/null
@@ -289,7 +301,7 @@ else
   echo "python3 not found on PATH; skipping the fast-path speedup assertions."
 fi
 
-echo "== [14/14] fleet-service gate (ctest -L serve) + serve protocol smoke =="
+echo "== [15/15] fleet-service gate (ctest -L serve) + serve protocol smoke =="
 # Same vacuity guard as the other label gates: the protocol golden tests and
 # the alone-vs-interleaved bit-identity suite MUST execute under the
 # sanitizers, so a lost 'serve' label fails the script.

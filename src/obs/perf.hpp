@@ -25,9 +25,11 @@
 #include <string>
 #include <vector>
 
-namespace rltherm::obs {
-
+namespace rltherm {
 class JsonWriter;
+}  // namespace rltherm
+
+namespace rltherm::obs {
 
 /// Schema version stamped into every perf-bearing JSON artifact. Readers
 /// (tools/perfgate) refuse to compare across versions.

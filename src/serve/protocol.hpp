@@ -1,21 +1,26 @@
 // Line protocol front end for the fleet service.
 //
 // One command per line, each a FLAT JSON object; one JSON response line per
-// command. The accepted grammar is a strict subset of JSON, in the spirit of
-// the fault-plan TOML subset (common/strict_file.hpp): explicit about what it
-// takes, diagnostic about everything else.
+// command. The line is read by the shared strict JSON reader
+// (common/json.hpp), so strings, numbers and keys follow its RFC 8259 rules:
+// standard escapes including \uXXXX, no raw control characters, no
+// duplicate keys, no `+1` or `01`. On top of that the protocol adds its own
+// rules, in the spirit of the fault-plan TOML subset
+// (common/strict_file.hpp): explicit about what it takes, diagnostic about
+// everything else.
 //
 //   command   = "{" [ member ( "," member )* ] "}"
 //   member    = string ":" value
 //   value     = string | number | "true" | "false"
-//   string    = '"' chars '"'          ; escapes: \" \\ \/ \b \f \n \r \t
 //
-// No nesting, no arrays, no null, no \uXXXX escapes, and a hard cap of
-// kMaxCommandBytes per line. Every command object carries a "cmd" member
-// naming the verb: admit, evict, query, shutdown, stats, step. Unknown
-// verbs, unknown keys, missing required keys, type mismatches and trailing
-// input all fail with a "source:line: message" diagnostic (failParse), and
-// the exact strings are golden-tested in tests/serve/protocol_test.cpp.
+// No nesting, no arrays, no null, and a hard cap of kMaxCommandBytes per
+// line. Every command object carries a "cmd" member naming the verb: admit,
+// evict, query, shutdown, stats, step. Unknown verbs, unknown keys, missing
+// required keys, type mismatches and trailing input all fail with a
+// "source:line: message" diagnostic (failParse), and the exact strings are
+// golden-tested in tests/serve/protocol_test.cpp. Integer keys are read
+// exactly from the number's source token and range-checked, so a seed past
+// 2^64 - 1 is refused, never saturated.
 //
 // Responses are single JSON objects: {"ok":true,...} on success and
 // {"ok":false,"error":"..."} otherwise — both protocol errors and domain

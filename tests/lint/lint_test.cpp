@@ -132,11 +132,21 @@ TEST(FindingsJsonTest, RoundTripsThroughJson) {
 }
 
 TEST(FindingsJsonTest, MalformedInputSetsError) {
-  std::istringstream read("{\"findings\": [{\"file\": 42}]}");
-  std::string error;
-  const auto fs = lint::readFindingsJson(read, &error);
-  EXPECT_TRUE(fs.empty());
-  EXPECT_FALSE(error.empty());
+  // Each input fails with a message, never a throw: a wrong type, a bad
+  // \u escape, a line past 2^64 - 1, a missing comma, and an unknown key.
+  for (const char* text : {
+           R"({"findings": [{"file": 42}]})",
+           R"({"findings": [{"file": "\uZZZZ"}]})",
+           R"({"findings": [{"line": 12345678901234567890123}]})",
+           R"({"findings":[] "x":"y"})",
+           R"({"findings": [{"file": "a.cpp", "severity": "high"}]})",
+       }) {
+    std::istringstream read(text);
+    std::string error;
+    const auto fs = lint::readFindingsJson(read, &error);
+    EXPECT_TRUE(fs.empty()) << text;
+    EXPECT_FALSE(error.empty()) << text;
+  }
 }
 
 TEST(BaselineDiffTest, MatchesByFileRuleMessageIgnoringLine) {

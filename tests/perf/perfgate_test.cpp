@@ -1,5 +1,5 @@
-// Drives the rltherm_perf_core library in-process: JSON round-trips, the
-// report parser's strictness, the noise-aware comparison (fixed floor +
+// Drives the rltherm_perf_core library in-process: the report parser's
+// strictness, the noise-aware comparison (fixed floor +
 // CV-scaled band), the canary that check.sh uses to prove the gate can
 // fail, baseline round-trips, and the trajectory append.
 #include <gtest/gtest.h>
@@ -10,7 +10,6 @@
 #include <string>
 
 #include "perf/gate.hpp"
-#include "perf/perf_json.hpp"
 #include "perf/report.hpp"
 
 namespace rltherm::perf {
@@ -50,48 +49,12 @@ std::string reportJson(double medianNs, double cv, double simRate,
 }
 
 PerfReport parseReport(const std::string& json) {
-  const ParseResult parsed = parseJson(json);
+  const JsonParseResult parsed = parseJson(json);
   EXPECT_TRUE(parsed.ok()) << parsed.error;
   PerfReport report;
   const std::string error = parsePerfReport(parsed.value, report);
   EXPECT_TRUE(error.empty()) << error;
   return report;
-}
-
-TEST(PerfJsonTest, ParsesScalarsArraysObjectsAndEscapes) {
-  const ParseResult parsed = parseJson(
-      R"({"a":1.5,"b":[true,false,null],"c":{"d":"x\n\"yA"},"e":-2e3})");
-  ASSERT_TRUE(parsed.ok()) << parsed.error;
-  const JsonValue& doc = parsed.value;
-  EXPECT_DOUBLE_EQ(doc.numberOr("a", 0.0), 1.5);
-  const JsonValue* b = doc.find("b");
-  ASSERT_NE(b, nullptr);
-  ASSERT_EQ(b->items.size(), 3u);
-  EXPECT_TRUE(b->items[0].boolean);
-  EXPECT_EQ(b->items[2].kind, JsonValue::Kind::Null);
-  const JsonValue* c = doc.find("c");
-  ASSERT_NE(c, nullptr);
-  EXPECT_EQ(c->stringOr("d", ""), "x\n\"yA");
-  EXPECT_DOUBLE_EQ(doc.numberOr("e", 0.0), -2000.0);
-}
-
-TEST(PerfJsonTest, RejectsMalformedDocuments) {
-  EXPECT_FALSE(parseJson("").ok());
-  EXPECT_FALSE(parseJson("{").ok());
-  EXPECT_FALSE(parseJson(R"({"a":})").ok());
-  EXPECT_FALSE(parseJson(R"({"a":1} trailing)").ok());
-  EXPECT_FALSE(parseJson(R"({"a" 1})").ok());
-  EXPECT_FALSE(parseJson(R"(["unterminated)").ok());
-}
-
-TEST(PerfJsonTest, WriteParseRoundTripPreservesOrderAndValues) {
-  const std::string original =
-      R"({"z":1,"a":[2.5,"s"],"m":{"k":true},"n":null})";
-  const ParseResult parsed = parseJson(original);
-  ASSERT_TRUE(parsed.ok()) << parsed.error;
-  std::string emitted;
-  writeJson(parsed.value, emitted);
-  EXPECT_EQ(emitted, original);  // insertion order preserved, not sorted
 }
 
 TEST(PerfReportTest, ParsesTheFullSchema) {
@@ -113,21 +76,39 @@ TEST(PerfReportTest, ParsesTheFullSchema) {
 
 TEST(PerfReportTest, RejectsPrePerfEraAndMalformedReports) {
   PerfReport report;
-  const ParseResult noVersion =
+  const JsonParseResult noVersion =
       parseJson(R"({"suite":"x","fingerprint":{}})");
   ASSERT_TRUE(noVersion.ok());
   EXPECT_NE(parsePerfReport(noVersion.value, report).find("schema_version"),
             std::string::npos);
 
-  const ParseResult noFingerprint =
+  const JsonParseResult noFingerprint =
       parseJson(R"({"suite":"x","schema_version":1})");
   ASSERT_TRUE(noFingerprint.ok());
   EXPECT_NE(parsePerfReport(noFingerprint.value, report).find("fingerprint"),
             std::string::npos);
 
-  const ParseResult noSuite = parseJson(R"({"schema_version":1})");
+  const JsonParseResult noSuite = parseJson(R"({"schema_version":1})");
   ASSERT_TRUE(noSuite.ok());
   EXPECT_FALSE(parsePerfReport(noSuite.value, report).empty());
+}
+
+TEST(PerfReportTest, RejectsRepeatedKernelAndScopeNames) {
+  // The trajectory keys points by these names; a repeat would write a
+  // duplicate key that the next append could not read back.
+  const std::string kernel = R"({"name":"k","median_ns":5})";
+  const std::string scope = R"({"scope":"s"})";
+  const std::string head =
+      R"({"suite":"x","schema_version":1,"fingerprint":{},)";
+  PerfReport report;
+  EXPECT_EQ(parsePerfReport(
+                parseJson(head + R"("kernels":[)" + kernel + "," + kernel + "]}").value,
+                report),
+            "kernel 'k' appears twice");
+  EXPECT_EQ(parsePerfReport(
+                parseJson(head + R"("hot_scopes":[)" + scope + "," + scope + "]}").value,
+                report),
+            "scope 's' appears twice");
 }
 
 TEST(PerfGateTest, IdenticalReportsPass) {
@@ -226,7 +207,7 @@ TEST(PerfGateTest, MarkdownAndJsonRenderTheVerdict) {
 
   std::ostringstream json;
   renderJson(result, json);
-  const ParseResult parsed = parseJson(json.str());
+  const JsonParseResult parsed = parseJson(json.str());
   ASSERT_TRUE(parsed.ok()) << parsed.error;
   EXPECT_FALSE(parsed.value.boolOr("pass", true));
   const JsonValue* rows = parsed.value.find("rows");
@@ -261,7 +242,7 @@ TEST(TrajectoryTest, AppendCreatesThenExtendsTheDocument) {
   ASSERT_EQ(appendTrajectory(path, report, "2026-08-01"), "");
   ASSERT_EQ(appendTrajectory(path, report, "2026-08-08"), "");
 
-  const ParseResult parsed = parseJsonFile(path);
+  const JsonParseResult parsed = parseJsonFile(path);
   ASSERT_TRUE(parsed.ok()) << parsed.error;
   EXPECT_DOUBLE_EQ(parsed.value.numberOr("schema_version", 0.0), 1.0);
   const JsonValue* points = parsed.value.find("points");

@@ -1,9 +1,9 @@
 // Serve-protocol contract tests: the line protocol's strict parser produces
 // GOLDEN diagnostics (exact strings, pinned here) for malformed, unknown, and
 // oversized commands; happy-path responses are stable JSON; line numbers
-// advance per input line; and the protocol counters fire. No test in this
-// file trains a policy — every golden diagnostic is produced before any
-// admission reaches the service.
+// advance per input line; and the protocol counters fire. Only the seed
+// echo test runs a pass (and so trains one policy); every golden diagnostic
+// is produced before any admission reaches the service.
 #include "serve/protocol.hpp"
 
 #include <gtest/gtest.h>
@@ -17,8 +17,9 @@
 namespace rltherm::serve {
 namespace {
 
-/// Tiny service: no test here runs a pass, so the training window is never
-/// paid; it only needs to exist for the session to point at.
+/// Tiny service: only the seed echo test runs a pass, so the short training
+/// window is paid once; elsewhere it only needs to exist for the session to
+/// point at.
 FleetServiceConfig tinyConfig() {
   FleetServiceConfig config;
   config.jobs = 1;
@@ -57,9 +58,9 @@ TEST_F(ProtocolTest, MalformedObjectsGetGoldenDiagnostics) {
   EXPECT_EQ(respond("{\"cmd\" \"stats\"}"),
             parseError(3, "expected ':' after key 'cmd'"));
   EXPECT_EQ(respond("{\"cmd\":\"stats\" \"x\":1}"),
-            parseError(4, "expected ',' or '}' in the command object"));
+            parseError(4, "expected ',' or '}' after an object member"));
   EXPECT_EQ(respond("{\"cmd\":\"stats\"} trailing"),
-            parseError(5, "trailing characters after the command object"));
+            parseError(5, "trailing characters after the JSON value"));
   EXPECT_EQ(respond("{\"cmd\":\"stats"), parseError(6, "unterminated string"));
   EXPECT_EQ(respond("{\"cmd\":\"a\\qb\"}"), parseError(7, "unsupported escape '\\\\q'"));
   EXPECT_EQ(respond("{\"cmd\":\"stats\",\"cmd\":\"stats\"}"),
@@ -105,6 +106,14 @@ TEST_F(ProtocolTest, AdmitValidatesKeysAndTypesWithGoldenDiagnostics) {
             parseError(6, "key 'stress_bins' must be an integer in [2, 64]"));
   EXPECT_EQ(respond("{\"cmd\":\"admit\",\"tenant\":\"t\",\"aging_bins\":1.5}"),
             parseError(7, "key 'aging_bins' must be an integer in [2, 64]"));
+  // Integers are read exactly from the source token: past 2^64 - 1 is an
+  // error, never a saturated 18446744073709551615.
+  EXPECT_EQ(respond("{\"cmd\":\"admit\",\"tenant\":\"t\",\"seed\":18446744073709551616}"),
+            parseError(8, "key 'seed' must be a non-negative integer"));
+  EXPECT_EQ(respond("{\"cmd\":\"admit\",\"tenant\":\"t\",\"seed\":99999999999999999999}"),
+            parseError(9, "key 'seed' must be a non-negative integer"));
+  EXPECT_EQ(respond("{\"cmd\":\"admit\",\"tenant\":\"t\",\"dataset\":007}"),
+            parseError(10, "invalid number '007'"));
 }
 
 TEST_F(ProtocolTest, EvictRequiresExactlyOneSelector) {
@@ -151,6 +160,16 @@ TEST_F(ProtocolTest, HappyPathResponsesAreStableJson) {
   EXPECT_EQ(respond("{\"cmd\":\"shutdown\"}"),
             "{\"ok\":true,\"cmd\":\"shutdown\"}");
   EXPECT_TRUE(session_.shutdownRequested());
+}
+
+TEST_F(ProtocolTest, QueryEchoesTheLargestSeedExactly) {
+  EXPECT_EQ(respond("{\"cmd\":\"admit\",\"tenant\":\"big\","
+                    "\"seed\":18446744073709551615}"),
+            "{\"ok\":true,\"cmd\":\"admit\",\"tenant\":\"big\",\"queued\":true}");
+  const std::string step = respond("{\"cmd\":\"step\"}");
+  EXPECT_NE(step.find("\"admitted\":1"), std::string::npos) << step;
+  const std::string query = respond("{\"cmd\":\"query\",\"tenant\":\"big\"}");
+  EXPECT_NE(query.find("\"seed\":18446744073709551615,"), std::string::npos) << query;
 }
 
 TEST_F(ProtocolTest, StepValidatesThePassCount) {

@@ -1,197 +1,64 @@
 // Finding ordering, the two output formats, and the committed-baseline
-// machinery. The JSON dialect is deliberately tiny — flat objects with
-// string/number values — and both the writer and the reader live here, so
-// the round-trip is covered by one test (tests/lint/) and the tool needs no
-// external JSON dependency.
+// machinery. The JSON layout (one finding per line) is written here with the
+// shared escape and read back through the shared strict reader
+// (common/json.hpp), so the round-trip is covered by one test (tests/lint/).
 //
 // Baseline matching keys on (file, rule, message) and ignores line numbers:
 // editing an unrelated part of a file must not invalidate its baseline
 // entries. Matching consumes entries one-for-one, so N+1 occurrences of an
 // identical finding against N baselined ones still gate.
 #include <algorithm>
-#include <cctype>
-#include <cstdio>
+#include <cstdint>
 #include <map>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <string>
 #include <tuple>
 
+#include "common/json.hpp"
 #include "lint.hpp"
 
 namespace rltherm::lint {
 
 namespace {
 
-std::string jsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
+/// Walks the shared reader's value model. Strict like every project input:
+/// one object holding only a "findings" array of objects with exactly the
+/// writer's keys.
+std::string parseFindings(const JsonValue& doc, std::vector<Finding>& out) {
+  if (doc.kind != JsonValue::Kind::Object) return "expected a JSON object";
+  for (const auto& [key, value] : doc.members) {
+    if (key != "findings") return "unknown key '" + key + "' (expected \"findings\")";
   }
-  return out;
-}
-
-/// Minimal recursive-descent reader for the writer's output shape. Not a
-/// general JSON parser: it accepts exactly one object containing a
-/// "findings" array of flat objects with string or unsigned-integer values.
-class JsonReader {
- public:
-  explicit JsonReader(const std::string& text) : text_(text) {}
-
-  bool parse(std::vector<Finding>& out, std::string& error) {
-    skipWs();
-    if (!consume('{')) return fail(error, "expected '{'");
-    bool sawFindings = false;
-    while (true) {
-      skipWs();
-      if (consume('}')) break;
-      std::string key;
-      if (!parseString(key)) return fail(error, "expected object key");
-      skipWs();
-      if (!consume(':')) return fail(error, "expected ':'");
-      skipWs();
-      if (key == "findings") {
-        sawFindings = true;
-        if (!parseFindingsArray(out, error)) return false;
-      } else {
-        if (!skipValue()) return fail(error, "bad value for key '" + key + "'");
-      }
-      skipWs();
-      consume(',');
-    }
-    skipWs();
-    if (pos_ != text_.size()) return fail(error, "trailing characters");
-    if (!sawFindings) return fail(error, "no \"findings\" array");
-    return true;
+  const JsonValue* findings = doc.find("findings");
+  if (findings == nullptr || findings->kind != JsonValue::Kind::Array) {
+    return "no \"findings\" array";
   }
-
- private:
-  bool parseFindingsArray(std::vector<Finding>& out, std::string& error) {
-    if (!consume('[')) return fail(error, "expected '['");
-    while (true) {
-      skipWs();
-      if (consume(']')) return true;
-      Finding f;
-      if (!parseFinding(f, error)) return false;
-      out.push_back(std::move(f));
-      skipWs();
-      consume(',');
-    }
-  }
-
-  bool parseFinding(Finding& f, std::string& error) {
-    if (!consume('{')) return fail(error, "expected finding object");
-    while (true) {
-      skipWs();
-      if (consume('}')) return true;
-      std::string key;
-      if (!parseString(key)) return fail(error, "expected finding key");
-      skipWs();
-      if (!consume(':')) return fail(error, "expected ':'");
-      skipWs();
+  for (const JsonValue& item : findings->items) {
+    if (item.kind != JsonValue::Kind::Object) return "finding is not an object";
+    Finding f;
+    for (const auto& [key, value] : item.members) {
       if (key == "line") {
-        std::size_t value = 0;
-        if (!parseNumber(value)) return fail(error, "bad line number");
-        f.line = value;
-      } else {
-        std::string value;
-        if (!parseString(value)) return fail(error, "bad value for '" + key + "'");
-        if (key == "file") f.file = std::move(value);
-        else if (key == "rule") f.rule = std::move(value);
-        else if (key == "message") f.message = std::move(value);
+        const std::optional<std::uint64_t> line = value.asUint64();
+        if (!line.has_value()) return "finding 'line' must be a non-negative integer";
+        f.line = *line;
+        continue;
       }
-      skipWs();
-      consume(',');
-    }
-  }
-
-  bool parseString(std::string& out) {
-    if (!consume('"')) return false;
-    out.clear();
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return true;
-      if (c == '\\' && pos_ < text_.size()) {
-        const char e = text_[pos_++];
-        switch (e) {
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'r': out += '\r'; break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) return false;
-            const std::string hex = text_.substr(pos_, 4);
-            pos_ += 4;
-            out += static_cast<char>(std::stoi(hex, nullptr, 16));
-            break;
-          }
-          default: out += e;
-        }
-      } else {
-        out += c;
+      std::string* field = key == "file"      ? &f.file
+                           : key == "rule"    ? &f.rule
+                           : key == "message" ? &f.message
+                                              : nullptr;
+      if (field == nullptr) return "unknown key '" + key + "' in a finding";
+      if (value.kind != JsonValue::Kind::String) {
+        return "finding '" + key + "' must be a string";
       }
+      *field = value.text;
     }
-    return false;
+    out.push_back(std::move(f));
   }
-
-  bool parseNumber(std::size_t& out) {
-    std::size_t start = pos_;
-    while (pos_ < text_.size() &&
-           std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0) {
-      ++pos_;
-    }
-    if (pos_ == start) return false;
-    out = static_cast<std::size_t>(std::stoull(text_.substr(start, pos_ - start)));
-    return true;
-  }
-
-  bool skipValue() {
-    if (pos_ >= text_.size()) return false;
-    if (text_[pos_] == '"') {
-      std::string ignored;
-      return parseString(ignored);
-    }
-    std::size_t ignored = 0;
-    return parseNumber(ignored);
-  }
-
-  void skipWs() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
-      ++pos_;
-    }
-  }
-
-  bool consume(char c) {
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  static bool fail(std::string& error, std::string message) {
-    error = std::move(message);
-    return false;
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
+  return "";
+}
 
 }  // namespace
 
@@ -214,9 +81,9 @@ void writeFindingsJson(const std::vector<Finding>& findings, std::ostream& out) 
   for (const Finding& f : findings) {
     if (!first) out << ",";
     first = false;
-    out << "\n  {\"file\":\"" << jsonEscape(f.file) << "\",\"line\":" << f.line
-        << ",\"rule\":\"" << jsonEscape(f.rule) << "\",\"message\":\""
-        << jsonEscape(f.message) << "\"}";
+    out << "\n  {\"file\":\"" << JsonWriter::escape(f.file) << "\",\"line\":" << f.line
+        << ",\"rule\":\"" << JsonWriter::escape(f.rule) << "\",\"message\":\""
+        << JsonWriter::escape(f.message) << "\"}";
   }
   out << (findings.empty() ? "]}\n" : "\n]}\n");
 }
@@ -224,14 +91,13 @@ void writeFindingsJson(const std::vector<Finding>& findings, std::ostream& out) 
 std::vector<Finding> readFindingsJson(std::istream& in, std::string* error) {
   std::ostringstream ss;
   ss << in.rdbuf();
-  const std::string text = ss.str();
+  const JsonParseResult parsed = parseJson(ss.str());
   std::vector<Finding> out;
-  std::string err;
-  if (!JsonReader(text).parse(out, err)) {
-    if (error != nullptr) *error = err;
-    return {};
-  }
-  if (error != nullptr) error->clear();
+  const std::string err =
+      parsed.ok() ? parseFindings(parsed.value, out)
+                  : "offset " + std::to_string(parsed.offset) + ": " + parsed.error;
+  if (error != nullptr) *error = err;
+  if (!err.empty()) out.clear();
   return out;
 }
 

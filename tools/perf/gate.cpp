@@ -143,39 +143,27 @@ void renderMarkdown(const GateResult& result, std::ostream& out) {
 }
 
 void renderJson(const GateResult& result, std::ostream& out) {
-  JsonValue doc;
-  doc.kind = JsonValue::Kind::Object;
-  JsonValue pass;
-  pass.kind = JsonValue::Kind::Bool;
-  pass.boolean = result.pass();
-  doc.members.emplace_back("pass", pass);
-  doc.members.emplace_back("diagnostic", JsonValue::makeString(result.diagnostic));
-  JsonValue rows;
-  rows.kind = JsonValue::Kind::Array;
+  JsonWriter json(out);
+  json.beginObject();
+  json.key("pass").value(result.pass());
+  json.key("diagnostic").value(result.diagnostic);
+  json.key("rows").beginArray();
   for (const GateRow& row : result.rows) {
-    JsonValue r;
-    r.kind = JsonValue::Kind::Object;
-    r.members.emplace_back("name", JsonValue::makeString(row.name));
-    r.members.emplace_back("baseline", JsonValue::makeNumber(row.baseline));
-    r.members.emplace_back("fresh", JsonValue::makeNumber(row.fresh));
-    r.members.emplace_back("delta_pct", JsonValue::makeNumber(row.deltaPct));
-    r.members.emplace_back("threshold_pct", JsonValue::makeNumber(row.thresholdPct));
-    JsonValue regressed;
-    regressed.kind = JsonValue::Kind::Bool;
-    regressed.boolean = row.regressed;
-    r.members.emplace_back("regressed", regressed);
-    rows.items.push_back(std::move(r));
+    json.beginObject();
+    json.key("name").value(row.name);
+    json.key("baseline").value(row.baseline);
+    json.key("fresh").value(row.fresh);
+    json.key("delta_pct").value(row.deltaPct);
+    json.key("threshold_pct").value(row.thresholdPct);
+    json.key("regressed").value(row.regressed);
+    json.endObject();
   }
-  doc.members.emplace_back("rows", std::move(rows));
-  JsonValue notes;
-  notes.kind = JsonValue::Kind::Array;
-  for (const std::string& note : result.notes) {
-    notes.items.push_back(JsonValue::makeString(note));
-  }
-  doc.members.emplace_back("notes", std::move(notes));
-  std::string text;
-  writeJson(doc, text);
-  out << text << "\n";
+  json.endArray();
+  json.key("notes").beginArray();
+  for (const std::string& note : result.notes) json.value(note);
+  json.endArray();
+  json.endObject();
+  out << "\n";
 }
 
 std::string appendTrajectory(const std::string& path, const PerfReport& fresh,
@@ -184,7 +172,7 @@ std::string appendTrajectory(const std::string& path, const PerfReport& fresh,
   std::ifstream probe(path);
   if (probe.good()) {
     probe.close();
-    ParseResult parsed = parseJsonFile(path);
+    JsonParseResult parsed = parseJsonFile(path);
     if (!parsed.ok()) return parsed.error;
     doc = std::move(parsed.value);
     if (doc.kind != JsonValue::Kind::Object || doc.find("points") == nullptr) {

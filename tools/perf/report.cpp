@@ -1,5 +1,9 @@
 #include "perf/report.hpp"
 
+#include <fstream>
+#include <set>
+#include <sstream>
+
 namespace rltherm::perf {
 
 namespace {
@@ -38,12 +42,18 @@ std::string parsePerfReport(const JsonValue& doc, PerfReport& out) {
   out.simSeconds = doc.numberOr("sim_seconds", 0.0);
   out.simRate = doc.numberOr("sim_seconds_per_wall_second", 0.0);
 
+  // Kernel and scope names become object keys in the trajectory, so a
+  // repeated name would write a document the strict reader then refuses.
+  std::set<std::string> names;
   if (const JsonValue* kernels = doc.find("kernels");
       kernels != nullptr && kernels->kind == JsonValue::Kind::Array) {
     for (const JsonValue& k : kernels->items) {
       KernelStats stats;
       stats.name = k.stringOr("name", "");
       if (stats.name.empty()) return "kernel entry without a 'name'";
+      if (!names.insert(stats.name).second) {
+        return "kernel '" + stats.name + "' appears twice";
+      }
       stats.reps = static_cast<std::uint64_t>(k.numberOr("reps", 0.0));
       stats.minNs = k.numberOr("min_ns", 0.0);
       stats.medianNs = k.numberOr("median_ns", 0.0);
@@ -59,11 +69,13 @@ std::string parsePerfReport(const JsonValue& doc, PerfReport& out) {
     }
   }
 
+  names.clear();
   if (const JsonValue* scopes = doc.find("hot_scopes");
       scopes != nullptr && scopes->kind == JsonValue::Kind::Array) {
     for (const JsonValue& s : scopes->items) {
       ScopeAgg agg;
       agg.name = s.stringOr("scope", "");
+      if (!names.insert(agg.name).second) return "scope '" + agg.name + "' appears twice";
       agg.calls = static_cast<std::uint64_t>(s.numberOr("calls", 0.0));
       agg.totalNs = s.numberOr("total_ns", 0.0);
       agg.meanNs = s.numberOr("mean_ns", 0.0);
@@ -88,8 +100,24 @@ std::string parsePerfReport(const JsonValue& doc, PerfReport& out) {
   return "";
 }
 
+JsonParseResult parseJsonFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in.good()) {
+    JsonParseResult result;
+    result.error = path + ": cannot read file";
+    return result;
+  }
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  JsonParseResult result = parseJson(buffer.str());
+  if (!result.ok()) {
+    result.error = path + ": offset " + std::to_string(result.offset) + ": " + result.error;
+  }
+  return result;
+}
+
 std::string loadPerfReport(const std::string& path, PerfReport& out) {
-  const ParseResult parsed = parseJsonFile(path);
+  const JsonParseResult parsed = parseJsonFile(path);
   if (!parsed.ok()) return parsed.error;
   const std::string error = parsePerfReport(parsed.value, out);
   return error.empty() ? "" : path + ": " + error;

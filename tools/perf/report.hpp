@@ -9,7 +9,7 @@
 #include <string>
 #include <vector>
 
-#include "perf/perf_json.hpp"
+#include "common/json.hpp"
 
 namespace rltherm::perf {
 
@@ -73,6 +73,10 @@ struct PerfReport {
   std::vector<ScopeAgg> scopes;
   std::vector<HistogramSummary> histograms;
 };
+
+/// Reads and parses `path` with the shared reader. Every failure (unreadable
+/// file, malformed JSON) comes back in `error` as "path: ...", not thrown.
+[[nodiscard]] JsonParseResult parseJsonFile(const std::string& path);
 
 /// Parses a bench report from a JSON document / file. Returns "" on
 /// success, a one-line diagnostic otherwise.

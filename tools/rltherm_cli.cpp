@@ -76,6 +76,7 @@
 
 #include "common/config.hpp"
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "common/table.hpp"
 #include "core/baselines.hpp"
 #include "core/config_io.hpp"
@@ -845,29 +846,6 @@ std::string hexU64(std::uint64_t v) {
   return out.str();
 }
 
-std::string jsonEscape(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 /// `train`: train the proposed ThermalManager on --train back-to-back passes
 /// of --app and write the checkpoint via the runner's save-at-end hook (the
 /// same code path RunnerConfig::saveCheckpointAtEnd exercises everywhere).
@@ -971,10 +949,10 @@ int inspectCommand(const Options& options) {
 
   if (options.has("json")) {
     std::ostringstream out;
-    out << "{\"file\":\"" << jsonEscape(path) << "\""
+    out << "{\"file\":\"" << JsonWriter::escape(path) << "\""
         << ",\"format_version\":" << image.version
         << ",\"fingerprint\":\"" << hexU64(image.fingerprint) << "\""
-        << ",\"action_space\":\"" << jsonEscape(ckpt.meta.actionSpec) << "\""
+        << ",\"action_space\":\"" << JsonWriter::escape(ckpt.meta.actionSpec) << "\""
         << ",\"actions\":" << ckpt.meta.actionNames.size()
         << ",\"stress_bins\":" << ckpt.meta.stressBins
         << ",\"aging_bins\":" << ckpt.meta.agingBins

@@ -130,7 +130,9 @@ int main(int argc, char** argv) {
     std::string error;
     const std::vector<lint::Finding> baseline = lint::readFindingsJson(in, &error);
     if (!error.empty()) {
-      return usageError("malformed baseline " + baselinePath + ": " + error);
+      std::cerr << "rltherm_lint: " << baselinePath << ": malformed baseline: " << error
+                << "\n";
+      return 2;
     }
     gated = lint::diffAgainstBaseline(findings, baseline, &stale);
     baselined = findings.size() - gated.size();

@@ -51,14 +51,15 @@ if [ "${STORE_COUNT:-0}" -eq 0 ]; then
 fi
 ctest --preset asan-ubsan -L store -j "${JOBS}"
 
-echo "== [7/15] JSON reader fuzz gate (ctest -L fuzz) =="
-# The seeded byte-mutation run over the shared JSON reader
-# (tests/common/json_test.cpp) MUST execute under the sanitizers: every
-# mutant either parses or returns an error, and ASan/UBSan see every path in
+echo "== [7/15] input reader fuzz gate (ctest -L fuzz) =="
+# The seeded byte-mutation runs over the shared JSON reader
+# (tests/common/json_test.cpp) and the TOML-subset config/scenario reader
+# (tests/core/config_io_test.cpp) MUST execute under the sanitizers: every
+# mutant either parses or fails cleanly, and ASan/UBSan see every path in
 # between. A lost 'fuzz' label fails the script like the other label gates.
 FUZZ_COUNT="$(ctest --preset asan-ubsan -L fuzz -N | sed -n 's/^Total Tests: //p')"
 if [ "${FUZZ_COUNT:-0}" -eq 0 ]; then
-  echo "no tests carry the 'fuzz' label; the JSON reader fuzz gate is vacuous"
+  echo "no tests carry the 'fuzz' label; the input reader fuzz gate is vacuous"
   exit 1
 fi
 ctest --preset asan-ubsan -L fuzz -j "${JOBS}"

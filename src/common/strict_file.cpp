@@ -30,15 +30,6 @@ std::string trimWhitespace(const std::string& s) {
   return s.substr(b, e - b);
 }
 
-std::string stripLineComment(const std::string& line) {
-  bool inString = false;
-  for (std::size_t i = 0; i < line.size(); ++i) {
-    if (line[i] == '"') inString = !inString;
-    if (line[i] == '#' && !inString) return line.substr(0, i);
-  }
-  return line;
-}
-
 std::vector<std::uint8_t> readFileBounded(const std::string& path,
                                           std::size_t maxBytes,
                                           const std::string& what) {

@@ -1,7 +1,7 @@
-// Strict-parsing diagnostics shared by every on-disk artifact reader (fault
-// scenario files, policy checkpoints): the canonical file:line / file:offset
-// error formatting, the text-line helpers the TOML-subset parser uses, a
-// bounded whole-file read, and a bounds-checked binary cursor.
+// Strict-parsing diagnostics shared by every on-disk artifact reader (the
+// TOML-subset config and scenario files, policy checkpoints): the canonical
+// file:line / file:offset error formatting, a whitespace trim, a bounded
+// whole-file read, and a bounds-checked binary cursor.
 //
 // One helper set means one golden-tested error style — a malformed fault
 // plan and a corrupted checkpoint fail with the same "source: location:
@@ -16,9 +16,9 @@
 namespace rltherm {
 
 /// Throws PreconditionError("source:line: message"); with line 0 the line
-/// prefix is omitted ("source: message"). This is the FaultPlan diagnostic
-/// format — keep the golden tests in tests/fault/plan_test.cpp in mind when
-/// touching it.
+/// prefix is omitted ("source: message"). This is the TomlDocument
+/// diagnostic format — keep the golden tests in tests/fault/plan_test.cpp
+/// and tests/core/config_io_test.cpp in mind when touching it.
 [[noreturn]] void failParse(const std::string& source, std::size_t line,
                             const std::string& message);
 
@@ -29,9 +29,6 @@ namespace rltherm {
 
 /// Strips leading/trailing whitespace.
 [[nodiscard]] std::string trimWhitespace(const std::string& s);
-
-/// Strips a trailing `# comment` that is not inside a quoted string.
-[[nodiscard]] std::string stripLineComment(const std::string& line);
 
 /// Reads a whole file as bytes, rejecting unreadable files and files larger
 /// than `maxBytes` (a corrupted length field must not become an OOM).

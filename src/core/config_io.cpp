@@ -1,87 +1,79 @@
 #include "core/config_io.hpp"
 
-#include <type_traits>
-
-#include "common/error.hpp"
+#include "common/toml.hpp"
 
 namespace rltherm::core {
 namespace {
 
-/// Overlays `[section] key` onto `field`, keeping the field's value as the
-/// default; the getter is chosen by the field's type.
-template <typename T>
-void overlay(const ConfigFile& config, const char* section, const char* key, T& field) {
-  if constexpr (std::is_same_v<T, bool>) {
-    field = config.getBool(section, key, field);
-  } else if constexpr (std::is_floating_point_v<T>) {
-    field = config.getDouble(section, key, field);
-  } else {
-    field = static_cast<T>(config.getInt(section, key, static_cast<long long>(field)));
+LoadedConfig configFrom(TomlDocument& doc) {
+  LoadedConfig config;
+  platform::MachineConfig& machine = config.runner.machine;
+  if (TomlDocument::Table* t = doc.table("machine")) {
+    doc.read(*t, "cores", machine.coreCount);
+    doc.read(*t, "tick", machine.tick);
+    doc.read(*t, "governor_period", machine.governorPeriod);
+    doc.read(*t, "warm_start", machine.warmStart);
+    if (const auto* cells = doc.read(*t, "thermal_cells", machine.thermalCellsPerCoreSide);
+        cells != nullptr && machine.thermalCellsPerCoreSide == 0) {
+      doc.fail(cells->line, "'thermal_cells' must be >= 1 (1 = one node per core)");
+    }
+    bool bigLittle = false;
+    const auto* bigLittleAt = doc.read(*t, "big_little", bigLittle);
+    if (bigLittle) {
+      machine.coreTypes = platform::bigLittleCoreTypes();
+      if (machine.coreCount != machine.coreTypes.size()) {
+        doc.fail(bigLittleAt->line, "big_little requires cores = 4");
+      }
+    }
   }
+  if (TomlDocument::Table* t = doc.table("thermal")) {
+    thermal::PackageRcConfig& rc = machine.thermal;
+    doc.read(*t, "ambient", rc.ambient);
+    doc.read(*t, "core_capacitance", rc.coreCapacitance);
+    doc.read(*t, "junction_to_spreader", rc.junctionToSpreader);
+    doc.read(*t, "lateral_resistance", rc.lateralResistance);
+    doc.read(*t, "spreader_to_sink", rc.spreaderToSink);
+    doc.read(*t, "sink_to_ambient", rc.sinkToAmbient);
+    doc.read(*t, "spreader_capacitance", rc.spreaderCapacitance);
+    doc.read(*t, "sink_capacitance", rc.sinkCapacitance);
+  }
+  if (TomlDocument::Table* t = doc.table("sensor")) {
+    doc.read(*t, "quantization", machine.sensor.quantizationStep);
+    doc.read(*t, "noise_sigma", machine.sensor.noiseSigma);
+  }
+  if (TomlDocument::Table* t = doc.table("runner")) {
+    doc.read(*t, "trace_interval", config.runner.traceInterval);
+    doc.read(*t, "max_sim_time", config.runner.maxSimTime);
+    doc.read(*t, "warmup", config.runner.analysisWarmup);
+    doc.read(*t, "cooldown", config.runner.analysisCooldown);
+  }
+  if (TomlDocument::Table* t = doc.table("manager")) {
+    ThermalManagerConfig& m = config.manager;
+    doc.read(*t, "sampling_interval", m.samplingInterval);
+    doc.read(*t, "decision_epoch", m.decisionEpoch);
+    doc.read(*t, "stress_bins", m.stressBins);
+    doc.read(*t, "aging_bins", m.agingBins);
+    doc.read(*t, "gamma", m.gamma);
+    doc.read(*t, "adaptive_sampling", m.adaptiveSampling);
+    doc.read(*t, "decision_overhead", m.decisionOverhead);
+    doc.read(*t, "seed", m.seed);
+    doc.read(*t, "intra_threshold_aging", m.intraThresholdAging);
+    doc.read(*t, "inter_threshold_aging", m.interThresholdAging);
+  }
+  doc.rejectUnread();
+  return config;
 }
 
 }  // namespace
 
-RunnerConfig runnerConfigFrom(const ConfigFile& config) {
-  RunnerConfig runner;
-
-  platform::MachineConfig& machine = runner.machine;
-  overlay(config, "machine", "cores", machine.coreCount);
-  overlay(config, "machine", "tick", machine.tick);
-  overlay(config, "machine", "governor_period", machine.governorPeriod);
-  overlay(config, "machine", "warm_start", machine.warmStart);
-  const long long cells = config.getInt(
-      "machine", "thermal_cells", static_cast<long long>(machine.thermalCellsPerCoreSide));
-  expects(cells >= 1, "[machine] thermal_cells must be >= 1 (1 = one node per core)");
-  machine.thermalCellsPerCoreSide = static_cast<std::size_t>(cells);
-  if (config.getBool("machine", "big_little", false)) {
-    machine.coreTypes = platform::bigLittleCoreTypes();
-    expects(machine.coreCount == machine.coreTypes.size(),
-            "big_little requires cores = 4");
-  }
-
-  thermal::PackageRcConfig& t = machine.thermal;
-  overlay(config, "thermal", "ambient", t.ambient);
-  overlay(config, "thermal", "core_capacitance", t.coreCapacitance);
-  overlay(config, "thermal", "junction_to_spreader", t.junctionToSpreader);
-  overlay(config, "thermal", "lateral_resistance", t.lateralResistance);
-  overlay(config, "thermal", "spreader_to_sink", t.spreaderToSink);
-  overlay(config, "thermal", "sink_to_ambient", t.sinkToAmbient);
-  overlay(config, "thermal", "spreader_capacitance", t.spreaderCapacitance);
-  overlay(config, "thermal", "sink_capacitance", t.sinkCapacitance);
-
-  overlay(config, "sensor", "quantization", machine.sensor.quantizationStep);
-  overlay(config, "sensor", "noise_sigma", machine.sensor.noiseSigma);
-
-  overlay(config, "runner", "trace_interval", runner.traceInterval);
-  overlay(config, "runner", "max_sim_time", runner.maxSimTime);
-  overlay(config, "runner", "warmup", runner.analysisWarmup);
-  overlay(config, "runner", "cooldown", runner.analysisCooldown);
-  return runner;
+LoadedConfig parseConfig(std::string_view text, const std::string& source) {
+  TomlDocument doc = TomlDocument::parse(text, source);
+  return configFrom(doc);
 }
 
-ThermalManagerConfig managerConfigFrom(const ConfigFile& config) {
-  ThermalManagerConfig manager;
-  overlay(config, "manager", "sampling_interval", manager.samplingInterval);
-  overlay(config, "manager", "decision_epoch", manager.decisionEpoch);
-  overlay(config, "manager", "stress_bins", manager.stressBins);
-  overlay(config, "manager", "aging_bins", manager.agingBins);
-  overlay(config, "manager", "gamma", manager.gamma);
-  overlay(config, "manager", "adaptive_sampling", manager.adaptiveSampling);
-  overlay(config, "manager", "decision_overhead", manager.decisionOverhead);
-  overlay(config, "manager", "seed", manager.seed);
-  overlay(config, "manager", "intra_threshold_aging", manager.intraThresholdAging);
-  overlay(config, "manager", "inter_threshold_aging", manager.interThresholdAging);
-  return manager;
-}
-
-void requireKnownKeys(const ConfigFile& config, const std::string& source) {
-  config.requireKnownKeys(
-      [](const ConfigFile& probe) {
-        (void)runnerConfigFrom(probe);
-        (void)managerConfigFrom(probe);
-      },
-      source);
+LoadedConfig loadConfigFile(const std::string& path) {
+  TomlDocument doc = TomlDocument::fromFile(path, "config file");
+  return configFrom(doc);
 }
 
 }  // namespace rltherm::core

@@ -1,7 +1,8 @@
-// Mapping between ConfigFile sections and the library's configuration
-// structs, so parameter studies run from a text file instead of a rebuild.
+// Mapping between `--config` documents (common/toml.hpp) and the library's
+// configuration structs, so parameter studies run from a text file instead
+// of a rebuild.
 //
-// Recognized sections and keys (all optional; defaults are the struct
+// Recognized tables and keys (all optional; defaults are the struct
 // defaults):
 //
 //   [machine]   cores, tick, governor_period, warm_start, big_little,
@@ -15,26 +16,30 @@
 //               intra_threshold_aging, inter_threshold_aging
 //   [runner]    trace_interval, max_sim_time, warmup, cooldown
 //
-// Any other key is an error (requireKnownKeys): a misspelt key must fail
-// loudly, not leave its parameter at the default.
+// Any other table or key is an error: a misspelt key must fail loudly, not
+// leave its parameter at the default.
 #pragma once
 
 #include <string>
+#include <string_view>
 
-#include "common/config.hpp"
 #include "core/runner.hpp"
 #include "core/thermal_manager.hpp"
 
 namespace rltherm::core {
 
-/// Overlay [machine]/[thermal]/[sensor]/[runner] keys onto defaults.
-[[nodiscard]] RunnerConfig runnerConfigFrom(const ConfigFile& config);
+/// Everything one `--config` document sets.
+struct LoadedConfig {
+  RunnerConfig runner;
+  ThermalManagerConfig manager;
+};
 
-/// Overlay [manager] keys onto defaults.
-[[nodiscard]] ThermalManagerConfig managerConfigFrom(const ConfigFile& config);
+/// Overlays the document's keys onto the defaults. Throws
+/// "source:line: message" on a syntax error, a value that does not fit its
+/// field, or a table or key the mapping does not read.
+[[nodiscard]] LoadedConfig parseConfig(std::string_view text, const std::string& source);
 
-/// Throws "source:line: unknown key 'k' in [section]" for the first key that
-/// neither runnerConfigFrom nor managerConfigFrom reads.
-void requireKnownKeys(const ConfigFile& config, const std::string& source);
+/// parseConfig on a file; the path is the source.
+[[nodiscard]] LoadedConfig loadConfigFile(const std::string& path);
 
 }  // namespace rltherm::core

@@ -1,15 +1,11 @@
 #include "fault/plan.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdlib>
-#include <fstream>
-#include <map>
 #include <optional>
 #include <sstream>
 
 #include "common/error.hpp"
-#include "common/strict_file.hpp"
+#include "common/toml.hpp"
 
 namespace rltherm::fault {
 
@@ -53,197 +49,112 @@ std::optional<FaultKind> kindOf(const std::string& name) {
   return std::nullopt;
 }
 
-// The shared strict-file helpers (common/strict_file.hpp) own the
-// golden-tested "source:line: message" diagnostic format and the text-line
-// utilities; terse local aliases keep the parser readable.
-[[noreturn]] void fail(const std::string& source, std::size_t line,
-                       const std::string& message) {
-  failParse(source, line, message);
-}
-
-std::string trim(const std::string& s) { return trimWhitespace(s); }
-
-std::string stripComment(const std::string& line) { return stripLineComment(line); }
-
-/// One raw key = value assignment with its source line.
-struct RawValue {
-  std::string text;  ///< value text, quotes already removed for strings
-  bool quoted = false;
-  std::size_t line = 0;
-};
-
-using RawTable = std::map<std::string, RawValue>;
-
-double parseNumber(const std::string& source, const RawValue& value,
-                   const std::string& key) {
-  if (value.quoted) {
-    fail(source, value.line, "key '" + key + "' must be a number, got a string");
-  }
-  const char* begin = value.text.c_str();
-  char* end = nullptr;
-  const double parsed = std::strtod(begin, &end);
-  if (end == begin || *end != '\0' || !std::isfinite(parsed)) {
-    fail(source, value.line,
-         "key '" + key + "' has malformed number '" + value.text + "'");
-  }
-  return parsed;
-}
-
-std::size_t parseIndex(const std::string& source, const RawValue& value,
-                       const std::string& key) {
-  const double parsed = parseNumber(source, value, key);
-  if (parsed < 0.0 || parsed != std::floor(parsed)) {
-    fail(source, value.line,
-         "key '" + key + "' must be a non-negative integer, got '" + value.text + "'");
-  }
-  return static_cast<std::size_t>(parsed);
-}
-
-std::string parseString(const std::string& source, const RawValue& value,
-                        const std::string& key) {
-  if (!value.quoted) {
-    fail(source, value.line, "key '" + key + "' must be a quoted string");
-  }
-  return value.text;
-}
-
-void rejectUnknownKeys(const std::string& source, const RawTable& table,
-                       std::initializer_list<const char*> known,
-                       const std::string& tableName) {
-  for (const auto& [key, value] : table) {
-    const bool ok = std::any_of(known.begin(), known.end(), [&key](const char* k) {
-      return key == k;
-    });
-    if (!ok) {
-      std::string valid;
-      for (const char* k : known) {
-        if (!valid.empty()) valid += ", ";
-        valid += k;
-      }
-      fail(source, value.line,
-           "unknown key '" + key + "' in [" + tableName + "] (valid keys: " + valid + ")");
-    }
-  }
-}
-
-FaultEvent buildEvent(const std::string& source, const RawTable& table,
-                      std::size_t tableLine, std::size_t cores) {
-  rejectUnknownKeys(source, table,
-                    {"t", "until", "kind", "channel", "core", "param", "delay"},
-                    "[event]");
+FaultEvent buildEvent(TomlDocument& doc, TomlDocument::Table& table, std::size_t cores) {
+  using Entry = TomlDocument::Entry;
   FaultEvent event;
-  event.line = tableLine;
+  event.line = table.line;
 
-  const auto kindIt = table.find("kind");
-  if (kindIt == table.end()) {
-    fail(source, tableLine, "[[event]] is missing required key 'kind'");
-  }
-  const std::string kindName = parseString(source, kindIt->second, "kind");
+  // Read every field first, so a misspelt key is reported as unknown rather
+  // than as the required key it was meant to be.
+  std::string kindName;
+  const Entry* kindAt = doc.read(table, "kind", kindName);
+  const Entry* tAt = doc.read(table, "t", event.start);
+  const Entry* untilAt = doc.read(table, "until", event.until);
+  const Entry* channelAt = doc.read(table, "channel", event.channel);
+  const Entry* coreAt = doc.read(table, "core", event.core);
+  const Entry* paramAt = doc.read(table, "param", event.parameter);
+  const Entry* delayAt = doc.read(table, "delay", event.delay);
+  doc.rejectUnread(table);
+
+  if (kindAt == nullptr) doc.fail(table.line, "[[event]] is missing required key 'kind'");
   const std::optional<FaultKind> kind = kindOf(kindName);
   if (!kind.has_value()) {
-    fail(source, kindIt->second.line,
-         "unknown fault kind '" + kindName + "' (valid kinds: " + validKindList() + ")");
+    doc.fail(kindAt->line,
+             "unknown fault kind '" + kindName + "' (valid kinds: " + validKindList() + ")");
   }
   event.kind = *kind;
 
-  const auto tIt = table.find("t");
-  if (tIt == table.end()) {
-    fail(source, tableLine, "[[event]] is missing required key 't'");
-  }
-  event.start = parseNumber(source, tIt->second, "t");
-  if (event.start < 0.0) {
-    fail(source, tIt->second.line, "'t' must be >= 0");
-  }
+  if (tAt == nullptr) doc.fail(table.line, "[[event]] is missing required key 't'");
+  if (event.start < 0.0) doc.fail(tAt->line, "'t' must be >= 0");
 
-  if (const auto untilIt = table.find("until"); untilIt != table.end()) {
+  if (untilAt != nullptr) {
     if (event.kind == FaultKind::CoreDead) {
-      fail(source, untilIt->second.line,
-           "'until' is not valid for core.dead — a dead core never comes back "
-           "(use core.intermittent for a core that recovers)");
+      doc.fail(untilAt->line,
+               "'until' is not valid for core.dead — a dead core never comes back "
+               "(use core.intermittent for a core that recovers)");
     }
-    event.until = parseNumber(source, untilIt->second, "until");
     if (event.until <= event.start) {
-      fail(source, untilIt->second.line,
-           "'until' must be greater than 't' (" + std::to_string(event.start) + ")");
+      doc.fail(untilAt->line,
+               "'until' must be greater than 't' (" + std::to_string(event.start) + ")");
     }
   }
 
-  const auto channelIt = table.find("channel");
   if (isSensorFault(event.kind)) {
-    if (channelIt == table.end()) {
-      fail(source, tableLine,
-           "'" + kindName + "' requires a 'channel' (per-core sensor index)");
+    if (channelAt == nullptr) {
+      doc.fail(table.line,
+               "'" + kindName + "' requires a 'channel' (per-core sensor index)");
     }
-    event.channel = parseIndex(source, channelIt->second, "channel");
     if (event.channel >= cores) {
-      fail(source, channelIt->second.line,
-           "channel " + std::to_string(event.channel) + " is out of range for " +
-               std::to_string(cores) + " cores (declare 'cores' in [scenario] if "
-               "the plan targets a larger machine)");
+      doc.fail(channelAt->line,
+               "channel " + std::to_string(event.channel) + " is out of range for " +
+                   std::to_string(cores) + " cores (declare 'cores' in [scenario] if "
+                   "the plan targets a larger machine)");
     }
-  } else if (channelIt != table.end()) {
-    fail(source, channelIt->second.line,
-         "'channel' is only valid for sensor.* events, not '" + kindName + "'");
+  } else if (channelAt != nullptr) {
+    doc.fail(channelAt->line,
+             "'channel' is only valid for sensor.* events, not '" + kindName + "'");
   }
 
-  const auto coreIt = table.find("core");
   if (isCoreFault(event.kind)) {
-    if (coreIt == table.end()) {
-      fail(source, tableLine, "'" + kindName + "' requires a 'core' (core index)");
+    if (coreAt == nullptr) {
+      doc.fail(table.line, "'" + kindName + "' requires a 'core' (core index)");
     }
-    event.core = parseIndex(source, coreIt->second, "core");
     if (event.core >= cores) {
-      fail(source, coreIt->second.line,
-           "core " + std::to_string(event.core) + " is out of range for " +
-               std::to_string(cores) + " cores (declare 'cores' in [scenario] if "
-               "the plan targets a larger machine)");
+      doc.fail(coreAt->line,
+               "core " + std::to_string(event.core) + " is out of range for " +
+                   std::to_string(cores) + " cores (declare 'cores' in [scenario] if "
+                   "the plan targets a larger machine)");
     }
-  } else if (coreIt != table.end()) {
-    fail(source, coreIt->second.line,
-         "'core' is only valid for core.* events, not '" + kindName + "'");
+  } else if (coreAt != nullptr) {
+    doc.fail(coreAt->line,
+             "'core' is only valid for core.* events, not '" + kindName + "'");
   }
 
-  const auto paramIt = table.find("param");
   const bool needsParam = event.kind == FaultKind::SensorOffset ||
                           event.kind == FaultKind::SensorNoiseBurst ||
                           event.kind == FaultKind::CoreIntermittent;
   if (needsParam) {
-    if (paramIt == table.end()) {
-      fail(source, tableLine,
-           "'" + kindName + "' requires 'param' (" +
-               (event.kind == FaultKind::SensorOffset     ? "offset in degrees C"
-                : event.kind == FaultKind::SensorNoiseBurst
-                    ? "extra noise sigma in degrees C"
-                    : "on/off period in seconds") +
-               ")");
+    if (paramAt == nullptr) {
+      doc.fail(table.line,
+               "'" + kindName + "' requires 'param' (" +
+                   (event.kind == FaultKind::SensorOffset     ? "offset in degrees C"
+                    : event.kind == FaultKind::SensorNoiseBurst
+                        ? "extra noise sigma in degrees C"
+                        : "on/off period in seconds") +
+                   ")");
     }
-    event.parameter = parseNumber(source, paramIt->second, "param");
     if (event.kind == FaultKind::SensorNoiseBurst && event.parameter <= 0.0) {
-      fail(source, paramIt->second.line, "'param' (noise sigma) must be > 0");
+      doc.fail(paramAt->line, "'param' (noise sigma) must be > 0");
     }
     if (event.kind == FaultKind::CoreIntermittent && event.parameter <= 0.0) {
-      fail(source, paramIt->second.line, "'param' (on/off period) must be > 0 seconds");
+      doc.fail(paramAt->line, "'param' (on/off period) must be > 0 seconds");
     }
-  } else if (paramIt != table.end()) {
-    fail(source, paramIt->second.line,
-         "'param' is only valid for sensor.offset / sensor.noise_burst / "
-         "core.intermittent, not '" + kindName + "'");
+  } else if (paramAt != nullptr) {
+    doc.fail(paramAt->line,
+             "'param' is only valid for sensor.offset / sensor.noise_burst / "
+             "core.intermittent, not '" + kindName + "'");
   }
 
-  const auto delayIt = table.find("delay");
   const bool needsDelay =
       event.kind == FaultKind::SampleLate || event.kind == FaultKind::DvfsDelay;
   if (needsDelay) {
-    if (delayIt == table.end()) {
-      fail(source, tableLine, "'" + kindName + "' requires 'delay' (seconds)");
+    if (delayAt == nullptr) {
+      doc.fail(table.line, "'" + kindName + "' requires 'delay' (seconds)");
     }
-    event.delay = parseNumber(source, delayIt->second, "delay");
-    if (event.delay <= 0.0) {
-      fail(source, delayIt->second.line, "'delay' must be > 0 seconds");
-    }
-  } else if (delayIt != table.end()) {
-    fail(source, delayIt->second.line,
-         "'delay' is only valid for sample.late / dvfs.delay, not '" + kindName + "'");
+    if (event.delay <= 0.0) doc.fail(delayAt->line, "'delay' must be > 0 seconds");
+  } else if (delayAt != nullptr) {
+    doc.fail(delayAt->line,
+             "'delay' is only valid for sample.late / dvfs.delay, not '" + kindName + "'");
   }
 
   return event;
@@ -265,6 +176,38 @@ std::string describeAt(const FaultEvent& event) {
   std::ostringstream out;
   out << "t=" << event.start;
   return out.str();
+}
+
+FaultPlan planFrom(TomlDocument& doc) {
+  FaultPlan plan;
+  if (!doc.root().entries.empty()) {
+    const TomlDocument::Entry& first = doc.root().entries.front();
+    doc.fail(first.line,
+             "'" + first.key + "' appears before any [scenario]/[[event]] table");
+  }
+  const std::vector<TomlDocument::Table*> events = doc.tables("event");
+  if (TomlDocument::Table* scenario = doc.table("scenario")) {
+    if (!events.empty() && events.front()->line < scenario->line) {
+      doc.fail(scenario->line, "[scenario] must precede all [[event]] tables");
+    }
+    doc.read(*scenario, "name", plan.name);
+    doc.read(*scenario, "description", plan.description);
+    const TomlDocument::Entry* coresAt = doc.read(*scenario, "cores", plan.cores);
+    doc.rejectUnread(*scenario);
+    if (coresAt != nullptr && plan.cores == 0) doc.fail(coresAt->line, "'cores' must be >= 1");
+  }
+  for (TomlDocument::Table* event : events) {
+    plan.events.push_back(buildEvent(doc, *event, plan.cores));
+  }
+  doc.rejectUnread();
+
+  if (plan.name.empty()) plan.name = doc.source();
+  try {
+    plan.validate();
+  } catch (const PreconditionError& error) {
+    throw PreconditionError(doc.source() + ": " + error.what());
+  }
+  return plan;
 }
 
 }  // namespace
@@ -295,114 +238,13 @@ bool isCoreFault(FaultKind kind) noexcept {
 }
 
 FaultPlan FaultPlan::parse(const std::string& text, const std::string& sourceName) {
-  std::istringstream in(text);
-  return parse(in, sourceName);
+  TomlDocument doc = TomlDocument::parse(text, sourceName);
+  return planFrom(doc);
 }
 
 FaultPlan FaultPlan::fromFile(const std::string& path) {
-  std::ifstream in(path);
-  expects(in.good(), "cannot read fault scenario '" + path + "'");
-  return parse(in, path);
-}
-
-FaultPlan FaultPlan::parse(std::istream& in, const std::string& sourceName) {
-  FaultPlan plan;
-
-  enum class Table { None, Scenario, Event };
-  Table current = Table::None;
-  RawTable table;
-  std::size_t tableLine = 0;
-  bool sawScenario = false;
-
-  // Raw event tables are finished (validated + appended) when the next table
-  // header or the end of input arrives.
-  const auto finishTable = [&] {
-    if (current == Table::Scenario) {
-      rejectUnknownKeys(sourceName, table, {"name", "description", "cores"}, "scenario");
-      if (const auto it = table.find("name"); it != table.end()) {
-        plan.name = parseString(sourceName, it->second, "name");
-      }
-      if (const auto it = table.find("description"); it != table.end()) {
-        plan.description = parseString(sourceName, it->second, "description");
-      }
-      if (const auto it = table.find("cores"); it != table.end()) {
-        plan.cores = parseIndex(sourceName, it->second, "cores");
-        if (plan.cores == 0) fail(sourceName, it->second.line, "'cores' must be >= 1");
-      }
-    } else if (current == Table::Event) {
-      plan.events.push_back(buildEvent(sourceName, table, tableLine, plan.cores));
-    }
-    table.clear();
-  };
-
-  std::string rawLine;
-  std::size_t lineNo = 0;
-  while (std::getline(in, rawLine)) {
-    ++lineNo;
-    const std::string line = trim(stripComment(rawLine));
-    if (line.empty()) continue;
-
-    if (line.front() == '[') {
-      if (line == "[[event]]") {
-        finishTable();
-        current = Table::Event;
-        tableLine = lineNo;
-        continue;
-      }
-      if (line == "[scenario]") {
-        if (sawScenario) {
-          fail(sourceName, lineNo, "duplicate [scenario] table");
-        }
-        if (current == Table::Event) {
-          fail(sourceName, lineNo, "[scenario] must precede all [[event]] tables");
-        }
-        finishTable();
-        current = Table::Scenario;
-        tableLine = lineNo;
-        sawScenario = true;
-        continue;
-      }
-      fail(sourceName, lineNo,
-           "unknown table '" + line + "' (expected [scenario] or [[event]])");
-    }
-
-    const std::size_t eq = line.find('=');
-    if (eq == std::string::npos) {
-      fail(sourceName, lineNo, "expected 'key = value', got '" + line + "'");
-    }
-    if (current == Table::None) {
-      fail(sourceName, lineNo,
-           "'" + trim(line.substr(0, eq)) + "' appears before any [scenario]/[[event]] table");
-    }
-    const std::string key = trim(line.substr(0, eq));
-    std::string value = trim(line.substr(eq + 1));
-    if (key.empty()) fail(sourceName, lineNo, "empty key before '='");
-    if (value.empty()) fail(sourceName, lineNo, "key '" + key + "' has no value");
-
-    RawValue raw;
-    raw.line = lineNo;
-    if (value.front() == '"') {
-      if (value.size() < 2 || value.back() != '"') {
-        fail(sourceName, lineNo, "unterminated string for key '" + key + "'");
-      }
-      raw.quoted = true;
-      raw.text = value.substr(1, value.size() - 2);
-    } else {
-      raw.text = value;
-    }
-    if (!table.emplace(key, raw).second) {
-      fail(sourceName, lineNo, "duplicate key '" + key + "' in the same table");
-    }
-  }
-  finishTable();
-
-  if (plan.name.empty()) plan.name = sourceName;
-  try {
-    plan.validate();
-  } catch (const PreconditionError& error) {
-    throw PreconditionError(sourceName + ": " + error.what());
-  }
-  return plan;
+  TomlDocument doc = TomlDocument::fromFile(path, "fault scenario");
+  return planFrom(doc);
 }
 
 void FaultPlan::validate() {

@@ -9,8 +9,8 @@
 // fan (scenario x policy) grids across threads under the sweep engine's
 // bit-identical-across-`--jobs` guarantee.
 //
-// Plans are parsed from a small TOML-subset scenario file (see
-// docs/ARCHITECTURE.md "Fault injection" for the grammar):
+// Plans are parsed from a scenario file in the project's TOML subset
+// (common/toml.hpp; docs/ARCHITECTURE.md "Input grammar"):
 //
 //   [scenario]
 //   name = "sensor-death"
@@ -31,7 +31,6 @@
 #pragma once
 
 #include <cmath>
-#include <istream>
 #include <limits>
 #include <string>
 #include <vector>
@@ -134,7 +133,6 @@ struct FaultPlan {
 
   /// Parse + validate a scenario file. `sourceName` prefixes error messages
   /// ("sensor_death.toml:12: ..."). Throws PreconditionError on any problem.
-  [[nodiscard]] static FaultPlan parse(std::istream& in, const std::string& sourceName);
   [[nodiscard]] static FaultPlan parse(const std::string& text,
                                        const std::string& sourceName);
   /// Parse a scenario file from disk; the file name becomes `sourceName`.

@@ -104,6 +104,17 @@ file(WRITE "${WORK_DIR}/typo.ini" "[runner]\nmax_sim_tme = 40\n")
 expect_fail("config typo" run --config "${WORK_DIR}/typo.ini" --app tachyon)
 expect_contains("config typo" "${ERR}" "typo.ini:2: unknown key 'max_sim_tme' in [runner]")
 
+# --- policies follow the configured machine -------------------------------
+
+# The proposed manager's action space is built for [machine] cores, so a
+# two-core machine runs instead of failing on a four-core affinity mask.
+file(WRITE "${WORK_DIR}/two_cores.ini" "[machine]\ncores = 2\n\n[runner]\nmax_sim_time = 60\n")
+expect_pass("two-core proposed" run --config "${WORK_DIR}/two_cores.ini" --app tachyon --policy proposed --train 1)
+expect_contains("two-core proposed" "${OUT}" "learning:")
+
+expect_fail("bad userspace frequency" run --app tachyon --policy userspace-abc)
+expect_contains("bad userspace frequency" "${ERR}" "policy 'userspace-abc': 'abc' is not a frequency in GHz")
+
 # --- corruption diagnostics -------------------------------------------------
 
 expect_fail("missing checkpoint" inspect "${WORK_DIR}/nope.ckpt")

@@ -40,11 +40,9 @@ TEST(StrictFileTest, FailParseAtOffsetFormatsAbsoluteOffset) {
             "p.ckpt: offset 24: bad section");
 }
 
-TEST(StrictFileTest, TrimAndCommentHelpers) {
+TEST(StrictFileTest, TrimWhitespace) {
   EXPECT_EQ(trimWhitespace("  a b \t"), "a b");
   EXPECT_EQ(trimWhitespace(""), "");
-  EXPECT_EQ(stripLineComment("key = 1 # note"), "key = 1 ");
-  EXPECT_EQ(stripLineComment("key = \"#not a comment\""), "key = \"#not a comment\"");
 }
 
 TEST(StrictFileTest, ReadFileBoundedRejectsMissingAndOversized) {

@@ -2,7 +2,7 @@
 //
 //   rltherm_cli list-apps
 //   rltherm_cli run        --app tachyon --dataset 1 --policy proposed
-//                          [--train 3] [--live] [--config file.ini]
+//                          [--train 3] [--live] [--config file.toml]
 //                          [--csv trace.csv] [--big-little]
 //                          [--events out.jsonl] [--chrome-trace out.json]
 //                          [--metrics]
@@ -11,7 +11,7 @@
 //   rltherm_cli compare    --app tachyon --policies linux-ondemand,ge,proposed
 //   rltherm_cli sweep      --apps tachyon,mpeg_dec --policies linux-ondemand,proposed
 //                          [--jobs N] [--dataset N] [--train N] [--live]
-//                          [--seed S] [--config file.ini]
+//                          [--seed S] [--config file.toml]
 //   rltherm_cli faults     [--scenarios DIR] [--apps a,b] [--jobs N] [--json FILE]
 //   rltherm_cli faults     --lint [FILE1,FILE2,...] [--scenarios DIR]
 //   rltherm_cli train      --app tachyon [--dataset N] [--train N] [--seed S]
@@ -32,7 +32,7 @@
 //                   with --lint, parse scenario files and exit nonzero on the
 //                   first line-numbered error (no simulation)
 //
-// `--config` overlays an INI file (see core/config_io.hpp) on the default
+// `--config` overlays a TOML-subset file (see core/config_io.hpp) on the default
 // machine/runner/manager parameters; `--csv` writes the per-core temperature
 // trace of the (final) evaluation run.
 //
@@ -62,7 +62,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -74,7 +76,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/config.hpp"
 #include "common/error.hpp"
 #include "common/json.hpp"
 #include "common/table.hpp"
@@ -386,16 +387,10 @@ class ObsSetup {
   bool wantSummary_ = false;
 };
 
-/// `--config FILE` (empty config without it). Every key must be one the
-/// config_io mappers read — those are also the only keys makePolicy reads.
-ConfigFile loadConfig(const Options& options) {
+/// `--config FILE` mapped onto the defaults (the defaults without it).
+core::LoadedConfig loadConfig(const Options& options) {
   if (!options.has("config")) return {};
-  const std::string path = options.get("config", "");
-  std::ifstream in(path);
-  expects(in.good(), "cannot read config file '" + path + "'");
-  const ConfigFile config = ConfigFile::parse(in);
-  core::requireKnownKeys(config, path);
-  return config;
+  return core::loadConfigFile(options.get("config", ""));
 }
 
 /// Owns whichever policy the --policy flag selected.
@@ -404,7 +399,7 @@ struct PolicyBundle {
   core::ThermalManager* manager = nullptr;  // set when policy == proposed
 };
 
-PolicyBundle makePolicy(const std::string& name, const ConfigFile& config) {
+PolicyBundle makePolicy(const std::string& name, const core::LoadedConfig& config) {
   PolicyBundle bundle;
   if (name == "linux-ondemand") {
     bundle.policy = std::make_unique<core::StaticGovernorPolicy>(
@@ -416,7 +411,12 @@ PolicyBundle makePolicy(const std::string& name, const ConfigFile& config) {
     bundle.policy = std::make_unique<core::StaticGovernorPolicy>(
         platform::GovernorSetting{platform::GovernorKind::Performance, 0.0});
   } else if (name.rfind("userspace-", 0) == 0) {
-    const double ghz = std::stod(name.substr(10));
+    const std::string ghzText = name.substr(10);
+    char* end = nullptr;
+    const double ghz = std::strtod(ghzText.c_str(), &end);
+    expects(!ghzText.empty() && *end == '\0' && std::isfinite(ghz) && ghz > 0.0,
+            "policy '" + name + "': '" + ghzText +
+                "' is not a frequency in GHz (e.g. userspace-2.4)");
     bundle.policy = std::make_unique<core::StaticGovernorPolicy>(
         platform::GovernorSetting{platform::GovernorKind::Userspace, ghz * 1e9});
   } else if (name == "ge" || name == "ge-modified") {
@@ -424,7 +424,7 @@ PolicyBundle makePolicy(const std::string& name, const ConfigFile& config) {
         std::make_unique<core::GeQiuPolicy>(core::GeQiuConfig{}, name == "ge-modified");
   } else if (name == "proposed") {
     auto manager = std::make_unique<core::ThermalManager>(
-        core::managerConfigFrom(config), core::ActionSpace::standard(4));
+        config.manager, core::ActionSpace::standard(config.runner.machine.coreCount));
     bundle.manager = manager.get();
     bundle.policy = std::move(manager);
   } else {
@@ -510,8 +510,8 @@ bool isLearningPolicy(const std::string& name) {
 
 int compareCommand(const Options& options) {
   validateFlags(options, {"app", "dataset", "policies", "train", "live"});
-  const ConfigFile config = loadConfig(options);
-  core::RunnerConfig runnerConfig = core::runnerConfigFrom(config);
+  const core::LoadedConfig config = loadConfig(options);
+  core::RunnerConfig runnerConfig = config.runner;
   if (options.has("big-little")) {
     runnerConfig.machine.coreTypes = platform::bigLittleCoreTypes();
   }
@@ -563,8 +563,8 @@ int runCommand(const Options& options) {
   }
   validateFlags(options, std::move(known));
 
-  const ConfigFile config = loadConfig(options);
-  core::RunnerConfig runnerConfig = core::runnerConfigFrom(config);
+  const core::LoadedConfig config = loadConfig(options);
+  core::RunnerConfig runnerConfig = config.runner;
   if (options.has("big-little")) {
     runnerConfig.machine.coreTypes = platform::bigLittleCoreTypes();
   }
@@ -663,8 +663,8 @@ int runCommand(const Options& options) {
 int sweepCommand(const Options& options) {
   validateFlags(options,
                 {"apps", "dataset", "policies", "jobs", "train", "live", "seed", "json"});
-  const ConfigFile config = loadConfig(options);
-  core::RunnerConfig runnerConfig = core::runnerConfigFrom(config);
+  const core::LoadedConfig config = loadConfig(options);
+  core::RunnerConfig runnerConfig = config.runner;
   if (options.has("big-little")) {
     runnerConfig.machine.coreTypes = platform::bigLittleCoreTypes();
   }
@@ -791,10 +791,8 @@ int faultsCommand(const Options& options) {
                 {"scenarios", "lint", "apps", "dataset", "jobs", "train", "seed", "json"});
   if (options.has("lint")) return lintScenarios(options);
 
-  const ConfigFile config = loadConfig(options);
-
   bench::FaultCampaignOptions campaign;
-  campaign.runner = core::runnerConfigFrom(config);
+  campaign.runner = loadConfig(options).runner;
   if (options.has("big-little")) {
     campaign.runner.machine.coreTypes = platform::bigLittleCoreTypes();
   }
@@ -851,8 +849,8 @@ std::string hexU64(std::uint64_t v) {
 /// same code path RunnerConfig::saveCheckpointAtEnd exercises everywhere).
 int trainCommand(const Options& options) {
   validateFlags(options, {"app", "dataset", "train", "seed", "out"});
-  const ConfigFile config = loadConfig(options);
-  core::RunnerConfig runnerConfig = core::runnerConfigFrom(config);
+  const core::LoadedConfig config = loadConfig(options);
+  core::RunnerConfig runnerConfig = config.runner;
   if (options.has("big-little")) {
     runnerConfig.machine.coreTypes = platform::bigLittleCoreTypes();
   }
@@ -861,12 +859,12 @@ int trainCommand(const Options& options) {
   runnerConfig.saveCheckpointAtEnd = out;
   const core::PolicyRunner runner(runnerConfig);
 
-  core::ThermalManagerConfig managerConfig = core::managerConfigFrom(config);
+  core::ThermalManagerConfig managerConfig = config.manager;
   if (options.has("seed")) {
     managerConfig.seed = static_cast<std::uint64_t>(std::stoull(options.get("seed", "42")));
   }
-  auto manager = std::make_unique<core::ThermalManager>(managerConfig,
-                                                        core::ActionSpace::standard(4));
+  auto manager = std::make_unique<core::ThermalManager>(
+      managerConfig, core::ActionSpace::standard(runnerConfig.machine.coreCount));
   core::ThermalManager* managerPtr = manager.get();
   PolicyBundle bundle;
   bundle.manager = managerPtr;
@@ -898,8 +896,8 @@ int trainCommand(const Options& options) {
 /// (inference-only — no Q update, no exploration) and evaluate.
 int evalCommand(const Options& options) {
   validateFlags(options, {"policy", "app", "dataset", "csv"});
-  const ConfigFile config = loadConfig(options);
-  core::RunnerConfig runnerConfig = core::runnerConfigFrom(config);
+  const core::LoadedConfig config = loadConfig(options);
+  core::RunnerConfig runnerConfig = config.runner;
   if (options.has("big-little")) {
     runnerConfig.machine.coreTypes = platform::bigLittleCoreTypes();
   }
@@ -949,34 +947,37 @@ int inspectCommand(const Options& options) {
 
   if (options.has("json")) {
     std::ostringstream out;
-    out << "{\"file\":\"" << JsonWriter::escape(path) << "\""
-        << ",\"format_version\":" << image.version
-        << ",\"fingerprint\":\"" << hexU64(image.fingerprint) << "\""
-        << ",\"action_space\":\"" << JsonWriter::escape(ckpt.meta.actionSpec) << "\""
-        << ",\"actions\":" << ckpt.meta.actionNames.size()
-        << ",\"stress_bins\":" << ckpt.meta.stressBins
-        << ",\"aging_bins\":" << ckpt.meta.agingBins
-        << ",\"states\":" << states
-        << ",\"q_entries\":" << ckpt.qValues.size()
-        << ",\"q_touched\":" << touched
-        << ",\"q_coverage\":" << formatFixed(coverage, 4)
-        << ",\"schedule_step\":" << ckpt.scheduleStep
-        << ",\"epochs\":" << ckpt.epochLog.size()
-        << ",\"frozen\":" << (ckpt.frozen ? "true" : "false")
-        << ",\"has_qexp\":" << (ckpt.hasQExp ? "true" : "false")
-        << ",\"inter_detections\":" << ckpt.interDetections
-        << ",\"intra_detections\":" << ckpt.intraDetections
-        << ",\"seed\":" << ckpt.meta.seed
-        << ",\"sections\":[";
-    for (std::size_t i = 0; i < sections.size(); ++i) {
-      if (i > 0) out << ",";
-      out << "{\"id\":" << sections[i].id
-          << ",\"name\":\"" << store::sectionName(sections[i].id) << "\""
-          << ",\"offset\":" << sections[i].offset
-          << ",\"payload_bytes\":" << sections[i].payloadBytes
-          << ",\"crc32\":\"" << hexU64(sections[i].crc) << "\"}";
+    JsonWriter json(out);
+    json.beginObject()
+        .key("file").value(path)
+        .key("format_version").value(std::uint64_t{image.version})
+        .key("fingerprint").value(hexU64(image.fingerprint))
+        .key("action_space").value(ckpt.meta.actionSpec)
+        .key("actions").value(std::uint64_t{ckpt.meta.actionNames.size()})
+        .key("stress_bins").value(ckpt.meta.stressBins)
+        .key("aging_bins").value(ckpt.meta.agingBins)
+        .key("states").value(states)
+        .key("q_entries").value(std::uint64_t{ckpt.qValues.size()})
+        .key("q_touched").value(std::uint64_t{touched})
+        .key("q_coverage").valueAuto(formatFixed(coverage, 4))
+        .key("schedule_step").value(ckpt.scheduleStep)
+        .key("epochs").value(std::uint64_t{ckpt.epochLog.size()})
+        .key("frozen").value(ckpt.frozen)
+        .key("has_qexp").value(ckpt.hasQExp)
+        .key("inter_detections").value(ckpt.interDetections)
+        .key("intra_detections").value(ckpt.intraDetections)
+        .key("seed").value(ckpt.meta.seed)
+        .key("sections").beginArray();
+    for (const store::SectionInfo& info : sections) {
+      json.beginObject()
+          .key("id").value(std::uint64_t{info.id})
+          .key("name").value(store::sectionName(info.id))
+          .key("offset").value(info.offset)
+          .key("payload_bytes").value(info.payloadBytes)
+          .key("crc32").value(hexU64(info.crc))
+          .endObject();
     }
-    out << "]}";
+    json.endArray().endObject();
     std::cout << out.str() << "\n";
     return 0;
   }

@@ -207,24 +207,6 @@ void BM_GridThermalStep(benchmark::State& state) {
 }
 BENCHMARK(BM_GridThermalStep)->Arg(1)->Arg(2)->Arg(3)->Arg(4);
 
-void BM_GridThermalStepDense(benchmark::State& state) {
-  // Same 66-node grid as BM_GridThermalStep/4, structured path forced OFF —
-  // the interactive twin of the rc_step_grid64_dense/fast JSON pair.
-  thermal::GridThermalConfig config;
-  config.cellsPerCoreSide = 4;
-  config.step.path = thermal::StepOptions::Path::Dense;
-  config.step.useCache = false;
-  thermal::GridPackage pkg(config);
-  pkg.prepare(0.01);
-  const std::vector<Watts> power =
-      pkg.nodePower(std::vector<Watts>{8.0, 2.0, 5.0, 1.0});
-  for (auto _ : state) {
-    pkg.network().step(power);
-    benchmark::DoNotOptimize(pkg.network().temperatures().data());
-  }
-}
-BENCHMARK(BM_GridThermalStepDense);
-
 void BM_RcPrepareGrid64(benchmark::State& state) {
   // prepare() throughput on the 66-node grid: range(0)==0 benches the cold
   // O(n^3) build (cache cleared every iteration), 1 the warm cache-hit path.
@@ -236,7 +218,7 @@ void BM_RcPrepareGrid64(benchmark::State& state) {
   for (auto _ : state) {
     if (!warm) thermal::ExpOperatorCache::instance().clear();
     pkg.prepare(0.01);
-    benchmark::DoNotOptimize(pkg.network().structuredOperator());
+    benchmark::DoNotOptimize(pkg.network().operatorFingerprint());
   }
   thermal::ExpOperatorCache::instance().clear();
 }
@@ -270,20 +252,19 @@ struct JsonKernel {
   std::function<double()> run;
 };
 
-/// The 64-cell die (8x8 cells + spreader + sink = 66 nodes) both grid64
-/// step kernels share — big enough that Auto selects the structured path.
-thermal::GridThermalConfig grid64Config(thermal::StepOptions::Path path) {
+/// The 64-cell die (8x8 cells + spreader + sink = 66 nodes) the grid64
+/// kernels share.
+thermal::GridThermalConfig grid64Config() {
   thermal::GridThermalConfig config;
   config.cellsPerCoreSide = 4;
-  config.step.path = path;
   return config;
 }
 
 std::vector<JsonKernel> jsonKernels() {
   std::vector<JsonKernel> kernels;
 
-  // The quad-core RC step: the per-10ms-tick cost the ROADMAP's structured-
-  // RC-step item targets. 20k steps x 0.01 s = 200 simulated seconds.
+  // The quad-core RC step: the per-10ms-tick thermal cost of the paper's
+  // machine. 20k steps x 0.01 s = 200 simulated seconds.
   kernels.push_back({"rc_step_quadcore", 20000, [] {
     thermal::GridPackage pkg = lumpedPackage();
     pkg.prepare(0.01);
@@ -306,25 +287,11 @@ std::vector<JsonKernel> jsonKernels() {
     return 5000 * 0.01;
   }});
 
-  // The 66-node step on the dense reference path vs the structured fused
-  // path: the pair behind the fast-path speedup gate in scripts/check.sh.
-  // Same grid, same power, same 5000 steps; only StepOptions differ.
+  // The 66-node step: one prepare, then 5000 steps. Clearing the cache
+  // first makes every rep pay the same cold prepare the baseline recorded.
   kernels.push_back({"rc_step_grid64_dense", 5000, [] {
-    thermal::GridThermalConfig config = grid64Config(thermal::StepOptions::Path::Dense);
-    config.step.useCache = false;
-    thermal::GridPackage pkg(config);
-    pkg.prepare(0.01);
-    const std::vector<Watts> power =
-        pkg.nodePower(std::vector<Watts>{8.0, 2.0, 5.0, 1.0});
-    for (int i = 0; i < 5000; ++i) pkg.network().step(power);
-    return 5000 * 0.01;
-  }});
-
-  kernels.push_back({"rc_step_grid64_fast", 5000, [] {
-    thermal::GridThermalConfig config =
-        grid64Config(thermal::StepOptions::Path::Structured);
-    config.step.useCache = false;
-    thermal::GridPackage pkg(config);
+    thermal::GridPackage pkg(grid64Config());
+    thermal::ExpOperatorCache::instance().clear();
     pkg.prepare(0.01);
     const std::vector<Watts> power =
         pkg.nodePower(std::vector<Watts>{8.0, 2.0, 5.0, 1.0});
@@ -337,7 +304,7 @@ std::vector<JsonKernel> jsonKernels() {
   // fingerprint lookup path an identical machine pays when the cache holds
   // the entry. The gap between the two is the cache's amortization win.
   kernels.push_back({"rc_prepare_grid64_cold", 10, [] {
-    thermal::GridPackage pkg(grid64Config(thermal::StepOptions::Path::Auto));
+    thermal::GridPackage pkg(grid64Config());
     for (int i = 0; i < 10; ++i) {
       thermal::ExpOperatorCache::instance().clear();
       pkg.prepare(0.01);
@@ -348,7 +315,7 @@ std::vector<JsonKernel> jsonKernels() {
 
   kernels.push_back({"rc_prepare_grid64_warm", 200, [] {
     thermal::ExpOperatorCache::instance().clear();
-    thermal::GridPackage pkg(grid64Config(thermal::StepOptions::Path::Auto));
+    thermal::GridPackage pkg(grid64Config());
     pkg.prepare(0.01);  // cold: populates the entry the loop below hits
     for (int i = 0; i < 200; ++i) pkg.prepare(0.01);
     return 0.0;
@@ -529,14 +496,12 @@ int runJsonMode(int argc, char** argv, const std::string& jsonPath) {
     json.endObject();
   }
   json.endArray();
-  // Exp-operator cache totals over the whole bench process (the prepare
-  // kernels exercise it): scripts/check.sh asserts hits > 0 here with the
-  // cache enabled and hits == 0 under RLTHERM_EXPOP_CACHE=0.
+  // Exp-operator cache totals since the last clear (the prepare kernels
+  // exercise it).
   {
     const thermal::ExpOpCacheStats cacheStats =
         thermal::ExpOperatorCache::instance().stats();
     json.key("expop_cache").beginObject();
-    json.key("enabled").value(cacheStats.enabled);
     json.key("hits").value(cacheStats.hits);
     json.key("misses").value(cacheStats.misses);
     json.key("inserts").value(cacheStats.inserts);

@@ -64,14 +64,14 @@ if [ "${FUZZ_COUNT:-0}" -eq 0 ]; then
 fi
 ctest --preset asan-ubsan -L fuzz -j "${JOBS}"
 
-echo "== [8/15] thermal equivalence gate (ctest -L thermal) =="
-# The structured-fast-path property suite (dense-vs-structured equivalence,
-# exactness, the wrong-tolerance canary, cache semantics) MUST execute under
-# the sanitizers; a lost 'thermal' label fails the script like the fault and
+echo "== [8/15] exp-operator cache gate (ctest -L thermal) =="
+# The exp-operator cache suite (hit/miss accounting, fingerprint sensitivity,
+# warm hits stepping bit-identically to cold prepares) MUST execute under the
+# sanitizers; a lost 'thermal' label fails the script like the fault and
 # store gates.
 THERMAL_COUNT="$(ctest --preset asan-ubsan -L thermal -N | sed -n 's/^Total Tests: //p')"
 if [ "${THERMAL_COUNT:-0}" -eq 0 ]; then
-  echo "no tests carry the 'thermal' label; the fast-path equivalence gate is vacuous"
+  echo "no tests carry the 'thermal' label; the exp-operator cache gate is vacuous"
   exit 1
 fi
 ctest --preset asan-ubsan -L thermal -j "${JOBS}"
@@ -248,59 +248,6 @@ if ./build/tools/rltherm_perfgate --baseline bench/baselines/BENCH_micro.json \
   exit 1
 fi
 echo "perf canary: 3x artificial slowdown caught as expected"
-
-# Structured fast-path gate: the fresh report must show the fused kernel
-# beating the dense reference by >= 2x on the 64-cell grid, with the
-# exp-operator cache actually exercised (hits > 0). Then re-run the bench
-# with the cache disabled via RLTHERM_EXPOP_CACHE=0 and require hits == 0
-# AND the same >= 2x step speedup — proving the fast path cannot fail open
-# into stale cached operators, and that its win is the kernel, not the cache.
-if command -v python3 >/dev/null 2>&1; then
-  check_fast_path() {
-    python3 - "$1" "$2" <<'PY'
-import json, sys
-path, mode = sys.argv[1], sys.argv[2]
-doc = json.load(open(path))
-kernels = {k["name"]: k for k in doc["kernels"]}
-for name in ("rc_step_grid64_dense", "rc_step_grid64_fast",
-             "rc_prepare_grid64_cold", "rc_prepare_grid64_warm"):
-    if name not in kernels:
-        sys.exit(f"{path}: kernel '{name}' missing from the report")
-    if kernels[name].get("ops_per_sec", 0.0) <= 0.0:
-        sys.exit(f"{path}: kernel '{name}' reports no ops_per_sec")
-# min_ns, not median: CI neighbors inject multi-rep interference bursts
-# that inflate whichever kernel they land on; best-of-reps compares the
-# two kernels' uncontended cost, which is what the 2x claim is about.
-dense = kernels["rc_step_grid64_dense"]["min_ns"]
-fast = kernels["rc_step_grid64_fast"]["min_ns"]
-speedup = dense / fast if fast > 0 else 0.0
-if speedup < 2.0:
-    sys.exit(f"{path}: structured step speedup {speedup:.2f}x < 2x "
-             f"(dense {dense/1e6:.3f} ms vs fast {fast/1e6:.3f} ms)")
-cache = doc["expop_cache"]
-if mode == "cached":
-    if not cache["enabled"]:
-        sys.exit(f"{path}: expop cache unexpectedly disabled")
-    if cache["hits"] == 0:
-        sys.exit(f"{path}: expop cache recorded no hits with the cache enabled")
-else:
-    if cache["enabled"]:
-        sys.exit(f"{path}: RLTHERM_EXPOP_CACHE=0 did not disable the cache")
-    if cache["hits"] != 0 or cache["misses"] != 0:
-        sys.exit(f"{path}: disabled cache still counted lookups")
-print(f"fast path ({mode}): {speedup:.2f}x over dense, "
-      f"cache hits={cache['hits']} enabled={cache['enabled']}")
-PY
-  }
-  check_fast_path "${PERF_TMP}" cached
-  PERF_NOCACHE_TMP="$(mktemp /tmp/rltherm_bench_nocache.XXXXXX.json)"
-  trap 'rm -f "${EVENTS_TMP}" "${CANARY}" "${RESIL_TMP}" "${PERF_TMP}" "${PERF_NOCACHE_TMP}"; rm -rf "${CKPT_TMP}"' EXIT
-  RLTHERM_EXPOP_CACHE=0 ./build/bench/bench_micro_kernels --json "${PERF_NOCACHE_TMP}" \
-    --reps 5 >/dev/null
-  check_fast_path "${PERF_NOCACHE_TMP}" nocache
-else
-  echo "python3 not found on PATH; skipping the fast-path speedup assertions."
-fi
 
 echo "== [15/15] fleet-service gate (ctest -L serve) + serve protocol smoke =="
 # Same vacuity guard as the other label gates: the protocol golden tests and

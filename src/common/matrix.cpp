@@ -97,9 +97,28 @@ std::vector<double> Matrix::operator*(std::span<const double> v) const {
 void Matrix::multiplyInto(std::span<const double> v, std::span<double> out) const {
   expects(v.size() == cols_, "Matrix-vector shape mismatch");
   expects(out.size() == rows_, "multiplyInto: output size mismatch");
-  for (std::size_t i = 0; i < rows_; ++i) {
+  // Four rows at a time, each summed left to right into its own accumulator:
+  // every row keeps operator*'s summation order, so the results are
+  // bit-identical, but four independent add chains hide the FP-add latency
+  // that a single running sum waits on.
+  const double* row = data_.data();
+  std::size_t i = 0;
+  for (; i + 4 <= rows_; i += 4, row += 4 * cols_) {
+    double sum0 = 0.0, sum1 = 0.0, sum2 = 0.0, sum3 = 0.0;
+    for (std::size_t j = 0; j < cols_; ++j) {
+      sum0 += row[j] * v[j];
+      sum1 += row[cols_ + j] * v[j];
+      sum2 += row[2 * cols_ + j] * v[j];
+      sum3 += row[3 * cols_ + j] * v[j];
+    }
+    out[i] = sum0;
+    out[i + 1] = sum1;
+    out[i + 2] = sum2;
+    out[i + 3] = sum3;
+  }
+  for (; i < rows_; ++i, row += cols_) {
     double sum = 0.0;
-    for (std::size_t j = 0; j < cols_; ++j) sum += (*this)(i, j) * v[j];
+    for (std::size_t j = 0; j < cols_; ++j) sum += row[j] * v[j];
     out[i] = sum;
   }
 }

@@ -58,7 +58,8 @@ class Matrix {
 
   /// Allocation-free matrix-vector product into a caller-provided buffer,
   /// with the same per-row accumulation order as operator* (so the two are
-  /// bit-identical). out.size() must equal rows(); out must not alias v.
+  /// bit-identical), summing four rows at a time. out.size() must equal
+  /// rows(); out must not alias v.
   void multiplyInto(std::span<const double> v, std::span<double> out) const;
 
   [[nodiscard]] Matrix transposed() const;

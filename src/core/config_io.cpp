@@ -1,15 +1,28 @@
 #include "core/config_io.hpp"
 
+#include <string>
+
 #include "common/toml.hpp"
+#include "sched/affinity.hpp"
 
 namespace rltherm::core {
 namespace {
+
+/// A discretizer's bin count: at least two bins.
+void readBins(TomlDocument& doc, TomlDocument::Table& table, const std::string& key,
+              std::size_t& bins) {
+  const TomlDocument::Entry* entry = doc.read(table, key, bins);
+  if (entry != nullptr && bins < 2) doc.fail(entry->line, "'" + key + "' must be >= 2");
+}
 
 LoadedConfig configFrom(TomlDocument& doc) {
   LoadedConfig config;
   platform::MachineConfig& machine = config.runner.machine;
   if (TomlDocument::Table* t = doc.table("machine")) {
-    doc.read(*t, "cores", machine.coreCount);
+    if (const auto* cores = doc.read(*t, "cores", machine.coreCount);
+        cores != nullptr && (machine.coreCount < 1 || machine.coreCount > sched::kMaxCores)) {
+      doc.fail(cores->line, "'cores' must be in 1.." + std::to_string(sched::kMaxCores));
+    }
     doc.read(*t, "tick", machine.tick);
     doc.read(*t, "governor_period", machine.governorPeriod);
     doc.read(*t, "warm_start", machine.warmStart);
@@ -43,7 +56,10 @@ LoadedConfig configFrom(TomlDocument& doc) {
   }
   if (TomlDocument::Table* t = doc.table("runner")) {
     doc.read(*t, "trace_interval", config.runner.traceInterval);
-    doc.read(*t, "max_sim_time", config.runner.maxSimTime);
+    if (const auto* maxSimTime = doc.read(*t, "max_sim_time", config.runner.maxSimTime);
+        maxSimTime != nullptr && config.runner.maxSimTime <= 0.0) {
+      doc.fail(maxSimTime->line, "'max_sim_time' must be > 0");
+    }
     doc.read(*t, "warmup", config.runner.analysisWarmup);
     doc.read(*t, "cooldown", config.runner.analysisCooldown);
   }
@@ -51,8 +67,8 @@ LoadedConfig configFrom(TomlDocument& doc) {
     ThermalManagerConfig& m = config.manager;
     doc.read(*t, "sampling_interval", m.samplingInterval);
     doc.read(*t, "decision_epoch", m.decisionEpoch);
-    doc.read(*t, "stress_bins", m.stressBins);
-    doc.read(*t, "aging_bins", m.agingBins);
+    readBins(doc, *t, "stress_bins", m.stressBins);
+    readBins(doc, *t, "aging_bins", m.agingBins);
     doc.read(*t, "gamma", m.gamma);
     doc.read(*t, "adaptive_sampling", m.adaptiveSampling);
     doc.read(*t, "decision_overhead", m.decisionOverhead);

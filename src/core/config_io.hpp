@@ -5,16 +5,16 @@
 // Recognized tables and keys (all optional; defaults are the struct
 // defaults):
 //
-//   [machine]   cores, tick, governor_period, warm_start, big_little,
+//   [machine]   cores (1..32), tick, governor_period, warm_start, big_little,
 //               thermal_cells (>= 1; 1 = one node per core)
 //   [thermal]   ambient, core_capacitance, junction_to_spreader,
 //               lateral_resistance, spreader_to_sink, sink_to_ambient,
 //               spreader_capacitance, sink_capacitance
 //   [sensor]    quantization, noise_sigma
-//   [manager]   sampling_interval, decision_epoch, stress_bins, aging_bins,
-//               gamma, adaptive_sampling, decision_overhead, seed,
+//   [manager]   sampling_interval, decision_epoch, stress_bins (>= 2),
+//               aging_bins (>= 2), gamma, adaptive_sampling, decision_overhead, seed,
 //               intra_threshold_aging, inter_threshold_aging
-//   [runner]    trace_interval, max_sim_time, warmup, cooldown
+//   [runner]    trace_interval, max_sim_time (> 0), warmup, cooldown
 //
 // Any other table or key is an error: a misspelt key must fail loudly, not
 // leave its parameter at the default.

@@ -12,7 +12,10 @@
 
 namespace rltherm::sched {
 
-/// A set of cores a thread may run on. Supports up to 32 cores.
+/// The most cores a mask, and so a machine, can hold.
+inline constexpr std::size_t kMaxCores = 32;
+
+/// A set of cores a thread may run on. Supports up to kMaxCores cores.
 class AffinityMask {
  public:
   /// Empty mask (allows nothing); invalid to schedule with.

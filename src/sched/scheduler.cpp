@@ -2,14 +2,15 @@
 
 #include <algorithm>
 #include <limits>
+#include <string>
 
 #include "common/error.hpp"
 
 namespace rltherm::sched {
 
 Scheduler::Scheduler(SchedulerConfig config) : config_(config) {
-  expects(config.coreCount >= 1 && config.coreCount <= 32,
-          "Scheduler supports 1..32 cores");
+  expects(config.coreCount >= 1 && config.coreCount <= kMaxCores,
+          "Scheduler supports 1.." + std::to_string(kMaxCores) + " cores");
   expects(config.balanceInterval > 0.0, "Balance interval must be > 0");
   expects(config.migrationPenalty >= 0.0, "Migration penalty must be >= 0");
   expects(config.migrationSpeedFactor > 0.0 && config.migrationSpeedFactor <= 1.0,

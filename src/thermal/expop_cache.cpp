@@ -1,36 +1,24 @@
 #include "thermal/expop_cache.hpp"
 
 #include <atomic>
-#include <cstdlib>
 #include <deque>
 #include <map>
 #include <mutex>
-#include <string_view>
 
 #include "common/error.hpp"
-#include "obs/metrics.hpp"
-#include "obs/session.hpp"
 
 namespace rltherm::thermal {
 
 namespace {
 
-/// Enough distinct (package, step-size, options) tuples for any realistic
+/// Enough distinct (package, step-size) pairs for any realistic
 /// sweep; beyond this the oldest operator is evicted (FIFO — preparation
 /// patterns are bursts at sweep start, not LRU-shaped).
 constexpr std::size_t kMaxEntries = 64;
 
-bool enabledFromEnvironment() noexcept {
-  const char* value = std::getenv("RLTHERM_EXPOP_CACHE");
-  if (value == nullptr) return true;
-  const std::string_view v(value);
-  return !(v == "0" || v == "off" || v == "OFF" || v == "false" || v == "FALSE");
-}
-
 }  // namespace
 
 struct ExpOperatorCache::Impl {
-  std::atomic<bool> enabled{true};
   std::atomic<std::uint64_t> hits{0};
   std::atomic<std::uint64_t> misses{0};
   std::atomic<std::uint64_t> inserts{0};
@@ -41,26 +29,15 @@ struct ExpOperatorCache::Impl {
   std::deque<std::uint64_t> insertionOrder;
 };
 
-ExpOperatorCache::ExpOperatorCache() : impl_(std::make_unique<Impl>()) {
-  impl_->enabled.store(enabledFromEnvironment(), std::memory_order_relaxed);
-}
+ExpOperatorCache::ExpOperatorCache() : impl_(std::make_unique<Impl>()) {}
 
 ExpOperatorCache& ExpOperatorCache::instance() {
   static ExpOperatorCache cache;
   return cache;
 }
 
-bool ExpOperatorCache::enabled() const noexcept {
-  return impl_->enabled.load(std::memory_order_relaxed);
-}
-
-void ExpOperatorCache::setEnabled(bool enabled) noexcept {
-  impl_->enabled.store(enabled, std::memory_order_relaxed);
-}
-
 std::shared_ptr<const PreparedStep> ExpOperatorCache::lookup(
     std::uint64_t fingerprint) {
-  if (!enabled()) return nullptr;
   const std::lock_guard<std::mutex> lock(impl_->mutex);
   const auto it = impl_->entries.find(fingerprint);
   if (it == impl_->entries.end()) {
@@ -76,7 +53,6 @@ std::shared_ptr<const PreparedStep> ExpOperatorCache::lookup(
 std::shared_ptr<const PreparedStep> ExpOperatorCache::store(
     std::shared_ptr<const PreparedStep> step) {
   expects(step != nullptr, "ExpOperatorCache::store: null step");
-  if (!enabled()) return step;
   const std::lock_guard<std::mutex> lock(impl_->mutex);
   // First writer wins: two workers racing to prepare the same fingerprint
   // computed byte-identical operators, so which copy survives is
@@ -112,7 +88,6 @@ ExpOpCacheStats ExpOperatorCache::stats() const {
   s.misses = impl_->misses.load(std::memory_order_relaxed);
   s.inserts = impl_->inserts.load(std::memory_order_relaxed);
   s.evictions = impl_->evictions.load(std::memory_order_relaxed);
-  s.enabled = enabled();
   {
     const std::lock_guard<std::mutex> lock(impl_->mutex);
     s.entries = impl_->entries.size();
@@ -120,17 +95,6 @@ ExpOpCacheStats ExpOperatorCache::stats() const {
   ensures(s.entries <= kMaxEntries,
           "ExpOperatorCache::stats: entry count above the eviction capacity");
   return s;
-}
-
-void publishExpOpCacheMetrics() {
-  obs::MetricsRegistry* metrics = obs::metrics();
-  if (metrics == nullptr) return;
-  const ExpOpCacheStats s = ExpOperatorCache::instance().stats();
-  metrics->counter("thermal.expop.cache.hit").add(s.hits);
-  metrics->counter("thermal.expop.cache.miss").add(s.misses);
-  metrics->gauge("thermal.expop.cache.entries").set(static_cast<double>(s.entries));
-  ensures(metrics->counter("thermal.expop.cache.hit").value() >= s.hits,
-          "publishExpOpCacheMetrics: hit counter lost the published total");
 }
 
 }  // namespace rltherm::thermal

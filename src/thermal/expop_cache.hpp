@@ -5,25 +5,18 @@
 // re-preparing the same package at the same tick, pays the O(n³) once when
 // the cache is warm. Entries are keyed by an FNV-1a fingerprint over every
 // input that determines the operators (step size, conductance matrix,
-// inverse capacitances, resolved path selection — see
-// RcNetwork::prepare), following the canonical-encoding convention of the
-// checkpoint store's fingerprint (src/store/policy_checkpoint.cpp).
+// inverse capacitances — see RcNetwork::prepare), following the
+// canonical-encoding convention of the checkpoint store's fingerprint
+// (src/store/policy_checkpoint.cpp). The cache is always on.
 //
 // Determinism: a cached PreparedStep is immutable and byte-identical to
 // what a cold prepare() would compute (same inputs, same deterministic
 // algorithm), so sharing it across sweep worker threads cannot change any
 // simulated value — the sweep bit-identity guarantee holds with the cache
 // on (tested at --jobs 1/2/8). The hit/miss COUNTS, however, depend on
-// scheduling order; they live in process-global atomics here and are only
-// published to a metrics registry on explicit request
-// (publishExpOpCacheMetrics), never into a run's private session, so
-// per-run metric streams stay scheduling-independent.
-//
-// The cache can be disabled per prepare() call (StepOptions::useCache),
-// programmatically (setEnabled), or for a whole process with the
-// environment variable RLTHERM_EXPOP_CACHE=0 — the fail-open probe in
-// scripts/check.sh uses the latter to prove the fast path's speedup does
-// not depend on stale cached operators.
+// scheduling order; they live in process-global atomics here, read through
+// stats() by sweep and benchmark reports, and never enter a run's private
+// metrics session, so per-run metric streams stay scheduling-independent.
 #pragma once
 
 #include <cstdint>
@@ -31,21 +24,16 @@
 
 #include "common/matrix.hpp"
 #include "common/types.hpp"
-#include "thermal/step_operator.hpp"
 
 namespace rltherm::thermal {
 
-/// Everything prepare() derives from (stepSize, network, options):
-/// immutable once built, shared by every network with the same fingerprint.
+/// Everything prepare() derives from (stepSize, network): immutable once
+/// built, shared by every network with the same fingerprint.
 struct PreparedStep {
   Seconds stepSize = 0.0;
   std::uint64_t fingerprint = 0;
   Matrix expOp;  ///< E = e^{Ah}
   Matrix phiOp;  ///< Φ = A⁻¹(E−I)C⁻¹
-  /// The fused run-compressed operator; empty when the dense path was
-  /// selected.
-  StepOperator structured;
-  bool structuredSelected = false;
 };
 
 struct ExpOpCacheStats {
@@ -54,26 +42,20 @@ struct ExpOpCacheStats {
   std::uint64_t inserts = 0;
   std::uint64_t evictions = 0;
   std::uint64_t entries = 0;
-  bool enabled = true;
 };
 
 class ExpOperatorCache {
  public:
-  /// The process-wide instance. Enabled unless RLTHERM_EXPOP_CACHE is set
-  /// to "0", "off" or "false" at first use.
+  /// The process-wide instance.
   [[nodiscard]] static ExpOperatorCache& instance();
 
-  [[nodiscard]] bool enabled() const noexcept;
-  void setEnabled(bool enabled) noexcept;
-
   /// Returns the cached step for the fingerprint (counting a hit), or
-  /// nullptr (counting a miss). Always nullptr when disabled (no counting).
+  /// nullptr (counting a miss).
   [[nodiscard]] std::shared_ptr<const PreparedStep> lookup(std::uint64_t fingerprint);
 
   /// Inserts (first writer wins) and returns the canonical shared entry —
   /// callers must keep the returned pointer, not their argument. At
-  /// capacity the oldest entry is evicted. When disabled, returns the
-  /// argument untouched.
+  /// capacity the oldest entry is evicted.
   [[nodiscard]] std::shared_ptr<const PreparedStep> store(
       std::shared_ptr<const PreparedStep> step);
 
@@ -88,13 +70,5 @@ class ExpOperatorCache {
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };
-
-/// Publish the cache totals to the AMBIENT metrics registry, if one is
-/// attached: counters thermal.expop.cache.hit / thermal.expop.cache.miss
-/// and gauge thermal.expop.cache.entries. Counters accumulate across calls,
-/// so call this once per process at report time (CLI/bench top level) —
-/// deliberately never from inside a sweep run, whose metric streams must
-/// not depend on scheduling order.
-void publishExpOpCacheMetrics();
 
 }  // namespace rltherm::thermal

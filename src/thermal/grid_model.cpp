@@ -16,10 +16,6 @@ constexpr std::size_t kNoCell = std::numeric_limits<std::size_t>::max();
 GridPackage::GridPackage(const GridThermalConfig& config) : config_(config) {
   expects(config.coreCount >= 1, "GridPackage requires at least one core");
   expects(config.cellsPerCoreSide >= 1, "GridPackage: cellsPerCoreSide must be >= 1");
-  expects(config.lateralCouplingRange >= 1,
-          "GridPackage: lateralCouplingRange must be >= 1");
-  expects(config.lateralDecayExponent >= 0.0,
-          "GridPackage: lateralDecayExponent must be >= 0");
 
   const std::size_t side = config.cellsPerCoreSide;
   const std::size_t rows = cellRows();
@@ -79,15 +75,8 @@ GridPackage::GridPackage(const GridThermalConfig& config) : config_(config) {
     for (std::size_t c = 0; c < cols; ++c) {
       if (!present(r, c)) continue;
       const std::size_t node = cellNodes_[r * cols + c];
-      // Axis-aligned lateral couplings with distance decay: d == 1 is the
-      // nearest-neighbour hop (R(1) == cellLateralR, the classic grid);
-      // larger d adds progressively weaker far-field paths.
-      for (std::size_t d = 1; d <= config.lateralCouplingRange; ++d) {
-        const double lateralR =
-            cellLateralR * std::pow(static_cast<double>(d), config.lateralDecayExponent);
-        if (present(r, c + d)) builder.connect(node, cellNodes_[r * cols + c + d], lateralR);
-        if (present(r + d, c)) builder.connect(node, cellNodes_[(r + d) * cols + c], lateralR);
-      }
+      if (present(r, c + 1)) builder.connect(node, cellNodes_[r * cols + c + 1], cellLateralR);
+      if (present(r + 1, c)) builder.connect(node, cellNodes_[(r + 1) * cols + c], cellLateralR);
     }
   }
   builder.connect(spreaderNode_, sinkNode_, rc.spreaderToSink);

@@ -52,20 +52,6 @@ struct GridThermalConfig {
   std::size_t coreCount = 4;         ///< row-major, 2 columns
   std::size_t cellsPerCoreSide = 2;  ///< each core is an NxN block of cells
   PackageRcConfig rc;
-
-  /// Lateral coupling reach: cells at axis-aligned grid distance d in
-  /// [1, lateralCouplingRange] are connected with a distance-decay
-  /// resistance  R(d) = lateralResistance · d^lateralDecayExponent.
-  /// The default (range 1) is the classic nearest-neighbour grid; larger
-  /// ranges add the rapidly weakening far-field couplings whose near-zero
-  /// exp-operator entries the structured step path (StepOptions) skips.
-  std::size_t lateralCouplingRange = 1;
-  double lateralDecayExponent = 2.0;
-
-  /// Step-path selection forwarded by prepare(); defaults to Auto, which
-  /// picks the structured fast path once the grid outgrows the dense
-  /// reference's threshold.
-  StepOptions step;
 };
 
 class GridPackage {
@@ -86,8 +72,8 @@ class GridPackage {
   [[nodiscard]] RcNetwork& network() noexcept { return network_; }
   [[nodiscard]] const RcNetwork& network() const noexcept { return network_; }
 
-  /// Prepare the network with the config's step options.
-  void prepare(Seconds stepSize) { network_.prepare(stepSize, config_.step); }
+  /// Prepare the network's exact step (RcNetwork::prepare).
+  void prepare(Seconds stepSize) { network_.prepare(stepSize); }
 
   /// Advance one prepared step under the given per-core power. The node
   /// power vector is a member, so the per-tick path allocates nothing.

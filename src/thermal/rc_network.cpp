@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <queue>
 
 #include "common/contracts.hpp"
@@ -10,7 +9,6 @@
 #include "common/fnv.hpp"
 #include "obs/timeline.hpp"
 #include "thermal/expop_cache.hpp"
-#include "thermal/step_operator.hpp"
 
 namespace rltherm::thermal {
 
@@ -120,7 +118,6 @@ RcNetwork RcNetwork::Builder::build() const {
   net.scratch_.resize(n);
   net.homogeneous_.resize(n);
   net.forced_.resize(n);
-  net.lastInput_.resize(n);
   verifyConductanceMatrix(net.conductance_);
   return net;
 }
@@ -144,24 +141,11 @@ void RcNetwork::setTemperatures(std::span<const Celsius> temps) {
   std::copy(temps.begin(), temps.end(), temps_.begin());
 }
 
-void RcNetwork::prepare(Seconds stepSize) { prepare(stepSize, StepOptions{}); }
-
-void RcNetwork::prepare(Seconds stepSize, const StepOptions& options) {
+void RcNetwork::prepare(Seconds stepSize) {
   RLTHERM_TIMED_SCOPE("thermal.rc.prepare");
   expects(stepSize > 0.0, "Step size must be > 0");
-  expects(options.dropTolerance >= 0.0 && std::isfinite(options.dropTolerance),
-          "prepare: dropTolerance must be finite and >= 0");
   const std::size_t n = nodes_.size();
   expects(n > 0, "prepare: empty network");
-  // The cached forced product belongs to the operator being replaced.
-  forcedValid_ = false;
-
-  const bool structured =
-      options.path == StepOptions::Path::Structured ||
-      (options.path == StepOptions::Path::Auto && n >= options.structuredThreshold);
-  // The dense path ignores dropTolerance, so two prepares differing only in
-  // tolerance must share a fingerprint — canonicalize it to 0 there.
-  const double dropTolerance = structured ? options.dropTolerance : 0.0;
 
   // Every field that changes what the prepared operators ARE, in a fixed order.
   Fnv1a hasher;
@@ -170,19 +154,15 @@ void RcNetwork::prepare(Seconds stepSize, const StepOptions& options) {
   hasher.f64(stepSize);
   for (const double g : conductance_.data()) hasher.f64(g);
   for (const double c : invCap_) hasher.f64(c);
-  hasher.u64(structured ? 1 : 0);
-  hasher.f64(dropTolerance);
   fingerprint_ = hasher.value();
 
   ExpOperatorCache& cache = ExpOperatorCache::instance();
-  if (options.useCache && cache.enabled()) {
-    if (std::shared_ptr<const PreparedStep> hit = cache.lookup(fingerprint_)) {
-      RLTHERM_ENSURE(hit->expOp.rows() == n && hit->stepSize == stepSize,
-                     "prepare: fingerprint collision in the operator cache");
-      prepared_ = std::move(hit);
-      preparedStep_ = stepSize;
-      return;
-    }
+  if (std::shared_ptr<const PreparedStep> hit = cache.lookup(fingerprint_)) {
+    RLTHERM_ENSURE(hit->expOp.rows() == n && hit->stepSize == stepSize,
+                   "prepare: fingerprint collision in the operator cache");
+    prepared_ = std::move(hit);
+    preparedStep_ = stepSize;
+    return;
   }
 
   auto step = std::make_shared<PreparedStep>();
@@ -205,22 +185,8 @@ void RcNetwork::prepare(Seconds stepSize, const StepOptions& options) {
   }
   step->phiOp = std::move(phi);
 
-  if (structured) {
-    step->structured = StepOperator(step->expOp, step->phiOp, dropTolerance);
-    step->structuredSelected = true;
-  }
-
-  prepared_ = options.useCache && cache.enabled() ? cache.store(std::move(step))
-                                                  : std::move(step);
+  prepared_ = cache.store(std::move(step));
   preparedStep_ = stepSize;
-}
-
-bool RcNetwork::structuredPathActive() const noexcept {
-  return prepared_ != nullptr && prepared_->structuredSelected;
-}
-
-const StepOperator* RcNetwork::structuredOperator() const noexcept {
-  return structuredPathActive() ? &prepared_->structured : nullptr;
 }
 
 void RcNetwork::step(std::span<const Watts> power) {
@@ -232,27 +198,6 @@ void RcNetwork::step(std::span<const Watts> power) {
   for (std::size_t i = 0; i < n; ++i) {
     expects(power[i] >= 0.0, "step: negative power");
     scratch_[i] = power[i] + ambientG_[i] * ambient_;
-  }
-  if (prepared_->structuredSelected) {
-    prepared_->structured.applyHomogeneous(temps_, homogeneous_);
-    // Plateau cache on the forced half: governors hold a power level for
-    // many ticks, and Φ·u is a pure function of u — when the input bytes
-    // are unchanged, recomputing would reproduce forced_ bit-for-bit, so
-    // reuse is exact and skips half the per-tick work.
-    const bool inputUnchanged =
-        forcedValid_ &&
-        std::memcmp(scratch_.data(), lastInput_.data(), n * sizeof(double)) == 0;
-    if (!inputUnchanged) {
-      prepared_->structured.applyForced(scratch_, forced_);
-      std::copy(scratch_.begin(), scratch_.end(), lastInput_.begin());
-      forcedValid_ = true;
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      temps_[i] = homogeneous_[i] + forced_[i];
-      RLTHERM_ENSURE(isPhysicalTemperature(temps_[i]),
-                     "RcNetwork::step produced a non-physical temperature");
-    }
-    return;
   }
   prepared_->expOp.multiplyInto(temps_, homogeneous_);
   prepared_->phiOp.multiplyInto(scratch_, forced_);

@@ -16,15 +16,10 @@
 //     A = -C^{-1} G,             b = C^{-1} (P + G_amb T_amb contribution)
 //
 // E and Phi are precomputed once per step size, making each simulator tick a
-// pair of small matrix-vector products. A classic RK4 integrator is provided
-// as an independent cross-check for the tests.
-//
-// prepare() accepts StepOptions controlling HOW the tick is executed:
-// the allocation-free dense reference path (default below
-// structuredThreshold nodes), or the structured fast path (step_operator.hpp)
-// that fuses E and Phi into run-compressed rows and skips near-zero
-// couplings. Prepared operators are shared across networks through the
-// process-wide fingerprint-keyed cache (expop_cache.hpp).
+// pair of small allocation-free matrix-vector products. A classic RK4
+// integrator is provided as an independent cross-check for the tests.
+// Prepared operators are shared across networks through the process-wide
+// fingerprint-keyed cache (expop_cache.hpp).
 #pragma once
 
 #include <cstdint>
@@ -40,34 +35,6 @@
 namespace rltherm::thermal {
 
 struct PreparedStep;
-class StepOperator;
-
-/// How prepare() builds and step() applies the exact-step operators.
-struct StepOptions {
-  enum class Path {
-    Auto,        ///< structured at/above structuredThreshold nodes, else dense
-    Dense,       ///< always the dense reference path
-    Structured,  ///< always the fused run-compressed path
-  };
-  Path path = Path::Auto;
-
-  /// Fused-operator entries with |a| <= dropTolerance are skipped by the
-  /// structured kernel. 0 keeps every entry, making the structured path
-  /// bit-identical to dense. The default drops only numerical dust — far
-  /// below the ~1e-7 coupling floor the shared spreader puts under every
-  /// node pair — so dropped mass per row stays ≲1e-10 and the accumulated
-  /// drift over 10k-tick horizons is well under 1e-6 °C (pinned by the
-  /// tests/thermal/ property suite).
-  double dropTolerance = 1e-12;
-
-  /// Auto path selection: networks with fewer nodes than this stay on the
-  /// dense reference (the fused kernel's win only materializes once rows
-  /// no longer fit the store-to-load window of the two-matvec loop).
-  std::size_t structuredThreshold = 32;
-
-  /// Consult / populate the process-wide ExpOperatorCache.
-  bool useCache = true;
-};
 
 /// Node role, for reporting and floorplan queries.
 enum class NodeKind { Core, Spreader, Sink, Other };
@@ -132,11 +99,10 @@ class RcNetwork {
   void setUniformTemperature(Celsius t);
   void setTemperatures(std::span<const Celsius> temps);
 
-  /// Precompute the exact-step operator for the given step size (seconds).
-  /// Must be called before step(); may be called again to change the step.
-  /// The overload without options uses StepOptions defaults (Auto path).
+  /// Precompute the exact-step operator for the given step size (seconds),
+  /// or adopt an identical one from the ExpOperatorCache. Must be called
+  /// before step(); may be called again to change the step.
   void prepare(Seconds stepSize);
-  void prepare(Seconds stepSize, const StepOptions& options);
 
   /// Advance one step of `stepSize` with the given per-node power (W).
   /// Requires prepare() to have been called and power.size() == nodeCount().
@@ -152,15 +118,8 @@ class RcNetwork {
   /// The prepared step size, if prepare() has been called.
   [[nodiscard]] std::optional<Seconds> preparedStep() const noexcept { return preparedStep_; }
 
-  /// True when the last prepare() selected the structured fast path.
-  [[nodiscard]] bool structuredPathActive() const noexcept;
-
-  /// The fused operator driving step(), or nullptr on the dense path /
-  /// before prepare(). Exposes density/exactness stats to tests + benches.
-  [[nodiscard]] const StepOperator* structuredOperator() const noexcept;
-
-  /// FNV-1a fingerprint of the last prepared (stepSize, network, options)
-  /// tuple — the ExpOperatorCache key; 0 before prepare().
+  /// FNV-1a fingerprint of the last prepared (stepSize, network) pair — the
+  /// ExpOperatorCache key; 0 before prepare().
   [[nodiscard]] std::uint64_t operatorFingerprint() const noexcept { return fingerprint_; }
 
  private:
@@ -176,19 +135,13 @@ class RcNetwork {
   std::vector<Celsius> temps_;
 
   std::optional<Seconds> preparedStep_;
-  /// Immutable prepared operators (E, Φ, fused form), possibly shared with
-  /// other networks through the ExpOperatorCache.
+  /// Immutable prepared operators (E, Φ), possibly shared with other
+  /// networks through the ExpOperatorCache.
   std::shared_ptr<const PreparedStep> prepared_;
   std::uint64_t fingerprint_ = 0;
   std::vector<double> scratch_;  // u = P + G_amb·T_amb
   std::vector<double> homogeneous_;
   std::vector<double> forced_;
-  /// Plateau cache for the structured path: forced_ holds Φ·lastInput_
-  /// while forcedValid_; step() skips the forced half when the tick's input
-  /// is byte-identical (reuse is bit-exact — the product is deterministic).
-  /// Invalidated by prepare(); never serialized (resume recomputes it).
-  std::vector<double> lastInput_;
-  bool forcedValid_ = false;
 };
 
 }  // namespace rltherm::thermal

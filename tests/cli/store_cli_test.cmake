@@ -97,6 +97,13 @@ expect_fail("inspect unknown flag" inspect "${CKPT}" --verbose)
 expect_fail("inspect stray positional" inspect "${CKPT}" extra)
 expect_fail("inspect no file" inspect)
 
+# Numeric flags are read as JSON numbers: no silent truncation, no wrap of a
+# negative seed to 2^64-1, and a diagnostic that names the flag.
+expect_fail("non-numeric dataset" run --app tachyon --dataset abc)
+expect_contains("non-numeric dataset" "${ERR}" "error: --dataset: 'abc' is not a non-negative integer")
+expect_fail("negative seed" sweep --apps tachyon --policies linux-ondemand --seed -1)
+expect_contains("negative seed" "${ERR}" "error: --seed: '-1' is not a non-negative integer")
+
 # --- strict config keys ----------------------------------------------------
 
 # A misspelt key must fail with file:line, not run the default 40000 s.

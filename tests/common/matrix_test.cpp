@@ -210,7 +210,7 @@ TEST(ExpmTest, NonSquareThrows) {
 
 TEST(MatrixTest, MultiplyIntoBitMatchesOperatorStar) {
   // multiplyInto is documented bit-identical to operator* (same accumulation
-  // order) — the structured thermal path's exactness proof leans on this.
+  // order), so the allocation-free RC step matches the allocating product.
   Rng rng(2024);
   for (const std::size_t n : {1u, 3u, 17u, 40u}) {
     const Matrix a = randomDiagonallyDominant(n, rng);

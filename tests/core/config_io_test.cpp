@@ -210,6 +210,11 @@ TEST(ConfigIoTest, HostileConfigsGetExactDiagnostics) {
        "hostile.toml:2: expected 'key = value', got '; old-style comment'"},
       {"[manager]\ngamma = \"0.5\"\n",
        "hostile.toml:2: key 'gamma' must be a number, got a string"},
+      {"[manager]\nstress_bins = 0\n", "hostile.toml:2: 'stress_bins' must be >= 2"},
+      {"[manager]\naging_bins = 1\n", "hostile.toml:2: 'aging_bins' must be >= 2"},
+      {"[machine]\ncores = 0\n", "hostile.toml:2: 'cores' must be in 1..32"},
+      {"[machine]\ncores = 33\n", "hostile.toml:2: 'cores' must be in 1..32"},
+      {"[runner]\nmax_sim_time = 0\n", "hostile.toml:2: 'max_sim_time' must be > 0"},
   };
   for (const auto& [text, expected] : cases) EXPECT_EQ(configError(text), expected) << text;
 }

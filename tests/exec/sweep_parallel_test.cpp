@@ -128,11 +128,11 @@ TEST(SweepParallelTest, AggregateIsBitIdenticalAcrossJobCounts) {
   expectReportsIdentical(serial, eight);
 }
 
-/// Specs on a grid-thermal machine big enough (66 nodes) that Auto engages
-/// the structured fast path, with the process-wide exp-operator cache live:
-/// identical machines across specs make workers race to prepare the same
-/// fingerprint, the exact sharing pattern the cache's determinism argument
-/// (thermal/expop_cache.hpp) has to survive.
+/// Specs on a 66-node grid-thermal machine (4x4 cells per core), with the
+/// process-wide exp-operator cache live: identical machines across specs
+/// make workers race to prepare the same fingerprint, the exact sharing
+/// pattern the cache's determinism argument (thermal/expop_cache.hpp) has
+/// to survive.
 std::vector<RunSpec> gridSpecs(std::uint64_t seed) {
   std::vector<RunSpec> specs;
   for (int i = 0; i < 4; ++i) {
@@ -152,10 +152,8 @@ std::vector<RunSpec> gridSpecs(std::uint64_t seed) {
   return specs;
 }
 
-TEST(SweepParallelTest, StructuredFastPathWithCacheStaysBitIdentical) {
-  thermal::ExpOperatorCache& cache = thermal::ExpOperatorCache::instance();
-  cache.clear();
-  cache.setEnabled(true);
+TEST(SweepParallelTest, GridMachineWithSharedCacheStaysBitIdentical) {
+  thermal::ExpOperatorCache::instance().clear();
   const SweepResult serial = SweepRunner({.jobs = 1}).run(gridSpecs(42));
   // Four identical machines prepared back to back: the serial sweep must
   // have hit the cache after the first cold prepare.

@@ -227,16 +227,15 @@ TEST(ResumeDeterminismTest, SweepPolicyZooIsBitIdenticalAtAnyJobsCount) {
   std::filesystem::remove(path);
 }
 
-/// Same interrupted-equals-uninterrupted claim, but on a grid-thermal
-/// machine big enough (66 nodes) that prepare() selects the structured fast
-/// path and every tick of both phases runs through the fused operator, with
-/// the exp-operator cache live. A checkpoint taken under the fast path must
-/// resume bit-exactly: the cached/fused operator is part of the machine, not
-/// of the policy state, so it must not leak into (or diverge after) resume.
-TEST(ResumeDeterminismTest, FastPathGridMachineResumesBitExactly) {
+/// Same interrupted-equals-uninterrupted claim, but on a 66-node
+/// grid-thermal machine (4x4 cells per core) with the exp-operator cache
+/// live, so every prepare after the first adopts a shared operator. A
+/// checkpoint taken there must resume bit-exactly: the cached operator is
+/// part of the machine, not of the policy state, so it must not leak into
+/// (or diverge after) resume.
+TEST(ResumeDeterminismTest, GridMachineResumesBitExactly) {
   thermal::ExpOperatorCache& cache = thermal::ExpOperatorCache::instance();
   cache.clear();
-  cache.setEnabled(true);
 
   core::RunnerConfig gridRunner = fastRunner();
   gridRunner.maxSimTime = 200.0;
@@ -249,7 +248,7 @@ TEST(ResumeDeterminismTest, FastPathGridMachineResumesBitExactly) {
   (void)runner.run(pass1, continuous);
   const core::RunResult expected = runner.run(pass2, continuous);
 
-  const std::string path = testing::TempDir() + "resume_fastpath.ckpt";
+  const std::string path = testing::TempDir() + "resume_grid.ckpt";
   core::ThermalManager first(fastManager(), core::ActionSpace::standard(4));
   (void)runner.run(pass1, first);
   first.saveCheckpoint(path);

@@ -9,8 +9,6 @@
 #include <cstring>
 #include <vector>
 
-#include "obs/metrics.hpp"
-#include "obs/session.hpp"
 #include "thermal/expop_cache.hpp"
 #include "thermal/grid_model.hpp"
 #include "thermal/rc_network.hpp"
@@ -22,15 +20,13 @@ constexpr Seconds kTick = 0.01;
 
 GridThermalConfig cachedGridConfig() {
   GridThermalConfig config;
-  config.cellsPerCoreSide = 4;  // 66 nodes: Auto selects the structured path
-  config.step.useCache = true;
+  config.cellsPerCoreSide = 4;  // 8x8 cells + spreader + sink = 66 nodes
   return config;
 }
 
 TEST(ExpOpCache, ColdPrepareMissesThenIdenticalPrepareHits) {
   ExpOperatorCache& cache = ExpOperatorCache::instance();
   cache.clear();
-  cache.setEnabled(true);
 
   GridPackage first(cachedGridConfig());
   first.prepare(kTick);
@@ -46,16 +42,12 @@ TEST(ExpOpCache, ColdPrepareMissesThenIdenticalPrepareHits) {
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.entries, 1u);
-
-  // Shared entry, not a copy: both networks hold the same fused operator.
-  EXPECT_EQ(first.network().structuredOperator(), second.network().structuredOperator());
   EXPECT_EQ(first.network().operatorFingerprint(), second.network().operatorFingerprint());
 }
 
 TEST(ExpOpCache, FingerprintSeparatesStepSizeAndNetworkAndOptions) {
   ExpOperatorCache& cache = ExpOperatorCache::instance();
   cache.clear();
-  cache.setEnabled(true);
 
   GridPackage base(cachedGridConfig());
   base.prepare(kTick);
@@ -73,77 +65,20 @@ TEST(ExpOpCache, FingerprintSeparatesStepSizeAndNetworkAndOptions) {
   different.prepare(kTick);
   EXPECT_NE(different.network().operatorFingerprint(), baseFp);
 
-  // Different drop tolerance on the structured path.
-  GridThermalConfig looser = cachedGridConfig();
-  looser.step.dropTolerance = 1e-9;
-  GridPackage pruned(looser);
-  pruned.prepare(kTick);
-  EXPECT_NE(pruned.network().operatorFingerprint(), baseFp);
+  // A different package option (core count), hence a different network.
+  GridThermalConfig twoCores = cachedGridConfig();
+  twoCores.coreCount = 2;
+  GridPackage smaller(twoCores);
+  smaller.prepare(kTick);
+  EXPECT_NE(smaller.network().operatorFingerprint(), baseFp);
 
   EXPECT_EQ(cache.stats().misses, 4u);
   EXPECT_EQ(cache.stats().entries, 4u);
 }
 
-TEST(ExpOpCache, DensePathCanonicalizesToleranceIntoOneFingerprint) {
-  ExpOperatorCache& cache = ExpOperatorCache::instance();
-  cache.clear();
-  cache.setEnabled(true);
-
-  // The dense path ignores dropTolerance, so two dense prepares differing
-  // only in tolerance must share one cache entry.
-  GridThermalConfig a = cachedGridConfig();
-  a.step.path = StepOptions::Path::Dense;
-  a.step.dropTolerance = 1e-12;
-  GridThermalConfig b = a;
-  b.step.dropTolerance = 1e-6;
-
-  GridPackage first(a);
-  first.prepare(kTick);
-  GridPackage second(b);
-  second.prepare(kTick);
-  EXPECT_EQ(first.network().operatorFingerprint(), second.network().operatorFingerprint());
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(cache.stats().entries, 1u);
-}
-
-TEST(ExpOpCache, DisabledCacheNeverReturnsEntriesAndStopsCounting) {
-  ExpOperatorCache& cache = ExpOperatorCache::instance();
-  cache.clear();
-  cache.setEnabled(false);
-
-  GridPackage first(cachedGridConfig());
-  first.prepare(kTick);
-  GridPackage second(cachedGridConfig());
-  second.prepare(kTick);
-  const ExpOpCacheStats stats = cache.stats();
-  EXPECT_FALSE(stats.enabled);
-  EXPECT_EQ(stats.hits, 0u);
-  EXPECT_EQ(stats.misses, 0u);
-  EXPECT_EQ(stats.entries, 0u);
-  // Each prepare built a private operator: still correct, just unshared.
-  EXPECT_NE(first.network().structuredOperator(), second.network().structuredOperator());
-
-  cache.setEnabled(true);
-}
-
-TEST(ExpOpCache, PerPrepareOptOutBypassesAnEnabledCache) {
-  ExpOperatorCache& cache = ExpOperatorCache::instance();
-  cache.clear();
-  cache.setEnabled(true);
-
-  GridThermalConfig config = cachedGridConfig();
-  config.step.useCache = false;
-  GridPackage package(config);
-  package.prepare(kTick);
-  const ExpOpCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.hits + stats.misses + stats.inserts, 0u)
-      << "useCache=false must not touch the global cache at all";
-}
-
 TEST(ExpOpCache, WarmHitTrajectoryIsBitIdenticalToColdPrepare) {
   ExpOperatorCache& cache = ExpOperatorCache::instance();
   cache.clear();
-  cache.setEnabled(true);
 
   GridPackage cold(cachedGridConfig());
   cold.prepare(kTick);  // miss: computes and publishes the entry
@@ -167,7 +102,6 @@ TEST(ExpOpCache, WarmHitTrajectoryIsBitIdenticalToColdPrepare) {
 TEST(ExpOpCache, ClearEmptiesEntriesAndZeroesCounters) {
   ExpOperatorCache& cache = ExpOperatorCache::instance();
   cache.clear();
-  cache.setEnabled(true);
 
   GridPackage package(cachedGridConfig());
   package.prepare(kTick);
@@ -176,28 +110,6 @@ TEST(ExpOpCache, ClearEmptiesEntriesAndZeroesCounters) {
   const ExpOpCacheStats stats = cache.stats();
   EXPECT_EQ(stats.entries, 0u);
   EXPECT_EQ(stats.hits + stats.misses + stats.inserts + stats.evictions, 0u);
-}
-
-TEST(ExpOpCache, PublishWritesAmbientMetrics) {
-  ExpOperatorCache& cache = ExpOperatorCache::instance();
-  cache.clear();
-  cache.setEnabled(true);
-
-  GridPackage first(cachedGridConfig());
-  first.prepare(kTick);
-  GridPackage second(cachedGridConfig());
-  second.prepare(kTick);
-
-  obs::MetricsRegistry registry;
-  obs::Session session;
-  session.metrics = &registry;
-  {
-    const obs::ScopedSession guard(session);
-    publishExpOpCacheMetrics();
-  }
-  EXPECT_EQ(registry.counter("thermal.expop.cache.hit").value(), 1u);
-  EXPECT_EQ(registry.counter("thermal.expop.cache.miss").value(), 1u);
-  EXPECT_EQ(registry.gauge("thermal.expop.cache.entries").value(), 1.0);
 }
 
 }  // namespace

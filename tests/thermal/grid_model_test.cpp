@@ -35,9 +35,6 @@ TEST(GridModelTest, InvalidConfigRejected) {
   GridThermalConfig config;
   config.cellsPerCoreSide = 0;
   EXPECT_THROW(GridPackage{config}, PreconditionError);
-  config = GridThermalConfig{};
-  config.lateralCouplingRange = 0;
-  EXPECT_THROW(GridPackage{config}, PreconditionError);
 }
 
 TEST(GridModelTest, ZeroCoresRejected) {
@@ -146,7 +143,7 @@ TEST(GridModelTest, OneCellConductanceSumsVerticalsBeforeLaterals) {
   reference.connect(1, 3, rc.lateralResistance).connect(2, 3, rc.lateralResistance);
   reference.connect(spreader, sink, rc.spreaderToSink);
   RcNetwork network = reference.build();
-  network.prepare(0.01, config.step);
+  network.prepare(0.01);
   // The fingerprint hashes every bit of G, the capacitances and the step.
   EXPECT_EQ(grid.network().operatorFingerprint(), network.operatorFingerprint());
 }

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 
 namespace rltherm::thermal {
 namespace {
@@ -19,6 +22,37 @@ RcNetwork singleNode(double capacitance, double resistance, Celsius ambient) {
                            .kind = NodeKind::Core,
                            .capacitance = capacitance,
                            .resistanceToAmbient = resistance});
+  return builder.build();
+}
+
+/// A rows x cols cell grid over a shared spreader and sink, every
+/// capacitance and resistance drawn independently.
+RcNetwork randomGrid(Rng& rng, std::size_t rows, std::size_t cols) {
+  RcNetwork::Builder builder;
+  std::vector<std::size_t> cells;
+  for (std::size_t i = 0; i < rows * cols; ++i) {
+    cells.push_back(builder.addNode(NodeSpec{.name = "cell" + std::to_string(i),
+                                             .kind = NodeKind::Core,
+                                             .capacitance = rng.uniform(0.1, 0.4),
+                                             .resistanceToAmbient = std::nullopt}));
+  }
+  const std::size_t spreader = builder.addNode(NodeSpec{.name = "spreader",
+                                                        .kind = NodeKind::Spreader,
+                                                        .capacitance = rng.uniform(15.0, 35.0),
+                                                        .resistanceToAmbient = std::nullopt});
+  const std::size_t sink = builder.addNode(NodeSpec{.name = "sink",
+                                                    .kind = NodeKind::Sink,
+                                                    .capacitance = rng.uniform(100.0, 200.0),
+                                                    .resistanceToAmbient = rng.uniform(0.3, 0.5)});
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < cols; ++c) {
+      const std::size_t cell = cells[r * cols + c];
+      if (c + 1 < cols) builder.connect(cell, cells[r * cols + c + 1], rng.uniform(2.0, 6.0));
+      if (r + 1 < rows) builder.connect(cell, cells[(r + 1) * cols + c], rng.uniform(2.0, 6.0));
+      builder.connect(cell, spreader, rng.uniform(4.0, 10.0));
+    }
+  }
+  builder.connect(spreader, sink, rng.uniform(0.2, 0.3));
   return builder.build();
 }
 
@@ -124,6 +158,31 @@ TEST(RcNetworkTest, Rk4AgreesWithExactStep) {
   }
   EXPECT_NEAR(exact.temperature(a), rk4.temperature(a), 1e-6);
   EXPECT_NEAR(exact.temperature(b), rk4.temperature(b), 1e-6);
+
+  // A 66-node heterogeneous grid under per-cell power plateaus of 50..400
+  // ticks: a plateau lets a wrong operator integrate its bias instead of
+  // averaging it out.
+  Rng rng(0x04AC1E);
+  RcNetwork grid = randomGrid(rng, 8, 8);
+  ASSERT_EQ(grid.nodeCount(), 66u);
+  RcNetwork gridRk4 = grid;
+  grid.prepare(0.01);
+  grid.setUniformTemperature(40.0);
+  gridRk4.setUniformTemperature(40.0);
+  std::vector<Watts> cellPower(grid.nodeCount(), 0.0);  // spreader, sink stay 0 W
+  double worst = 0.0;
+  for (std::size_t t = 0, nextPlateau = 0; t < 2000; ++t) {
+    if (t == nextPlateau) {
+      for (std::size_t i = 0; i + 2 < cellPower.size(); ++i) cellPower[i] = rng.uniform(0.0, 2.0);
+      nextPlateau = t + 50 + rng.uniformInt(350);
+    }
+    grid.step(cellPower);
+    gridRk4.stepRk4(cellPower, 0.01);
+    for (std::size_t i = 0; i < grid.nodeCount(); ++i) {
+      worst = std::max(worst, std::abs(grid.temperature(i) - gridRk4.temperature(i)));
+    }
+  }
+  EXPECT_LT(worst, 1e-3);
 }
 
 TEST(RcNetworkTest, HeatFlowsFromHotToCold) {

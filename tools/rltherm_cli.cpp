@@ -68,11 +68,13 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -115,6 +117,29 @@ struct Options {
     return it == flags.end() ? fallback : it->second;
   }
   [[nodiscard]] bool has(const std::string& name) const { return flags.contains(name); }
+
+  /// A numeric flag, read as one JSON number like a TOML value
+  /// (common/toml.hpp): the fallback when absent, else a finite number for
+  /// a double, or a non-negative integer that fits T.
+  template <typename T>
+  [[nodiscard]] T number(const std::string& name, T fallback) const {
+    const auto it = flags.find(name);
+    if (it == flags.end()) return fallback;
+    const JsonParseResult parsed = parseJson(it->second);
+    const bool isNumber = parsed.ok() && parsed.value.kind == JsonValue::Kind::Number;
+    if constexpr (std::is_floating_point_v<T>) {
+      if (isNumber) return parsed.value.number;
+      throw PreconditionError("--" + name + ": '" + it->second + "' is not a number");
+    } else {
+      const std::optional<std::uint64_t> value =
+          isNumber ? parsed.value.asUint64() : std::nullopt;
+      if (value && *value <= static_cast<std::uint64_t>(std::numeric_limits<T>::max())) {
+        return static_cast<T>(*value);
+      }
+      throw PreconditionError("--" + name + ": '" + it->second +
+                              "' is not a non-negative integer");
+    }
+  }
 };
 
 Options parseArgs(int argc, char** argv) {
@@ -520,9 +545,9 @@ int compareCommand(const Options& options) {
   ObsSetup obsSetup(options);
 
   const workload::AppSpec app = workload::makeApp(
-      options.get("app", "tachyon"), std::stoi(options.get("dataset", "1")));
+      options.get("app", "tachyon"), options.number<int>("dataset", 1));
   const workload::Scenario eval = workload::Scenario::of({app});
-  const int trainPasses = std::stoi(options.get("train", "3"));
+  const int trainPasses = options.number<int>("train", 3);
   std::vector<workload::AppSpec> trainApps(static_cast<std::size_t>(trainPasses), app);
   const workload::Scenario train = workload::Scenario::of(trainApps);
 
@@ -578,7 +603,7 @@ int runCommand(const Options& options) {
 
   PolicyBundle bundle = makePolicy(options.get("policy", "linux-ondemand"), config);
   superviseIfRequested(options, bundle);
-  const int trainPasses = std::stoi(options.get("train", "3"));
+  const int trainPasses = options.number<int>("train", 3);
 
   ObsSetup obsSetup(options);
   // Wall clock around the simulating section (training + evaluation) and the
@@ -589,10 +614,10 @@ int runCommand(const Options& options) {
   if (options.command == "concurrent") {
     std::vector<workload::AppSpec> apps;
     for (const std::string& family : splitList(options.get("apps", ""))) {
-      apps.push_back(workload::makeApp(family, std::stoi(options.get("dataset", "1"))));
+      apps.push_back(workload::makeApp(family, options.number<int>("dataset", 1)));
     }
     expects(!apps.empty(), "concurrent: --apps required");
-    const double window = std::stod(options.get("window", "2000"));
+    const double window = options.number<double>("window", 2000.0);
     if (!resume && isLearningPolicy(options.get("policy", ""))) {
       simSeconds += runner.runConcurrent(apps, *bundle.policy, window).duration;  // learn
       if (bundle.manager && !options.has("live")) bundle.manager->freeze();
@@ -602,12 +627,12 @@ int runCommand(const Options& options) {
     std::vector<workload::AppSpec> apps;
     if (options.command == "inter") {
       for (const std::string& family : splitList(options.get("apps", ""))) {
-        apps.push_back(workload::makeApp(family, std::stoi(options.get("dataset", "1"))));
+        apps.push_back(workload::makeApp(family, options.number<int>("dataset", 1)));
       }
       expects(!apps.empty(), "inter: --apps required");
     } else {
       apps.push_back(workload::makeApp(options.get("app", "tachyon"),
-                                       std::stoi(options.get("dataset", "1"))));
+                                       options.number<int>("dataset", 1)));
     }
     const workload::Scenario eval = workload::Scenario::of(apps);
     if (!resume && isLearningPolicy(options.get("policy", ""))) {
@@ -671,11 +696,10 @@ int sweepCommand(const Options& options) {
   loadFaults(options, runnerConfig);
 
   const bool supervise = options.has("supervise");
-  const int dataset = std::stoi(options.get("dataset", "1"));
-  const int trainPasses = std::stoi(options.get("train", "3"));
+  const int dataset = options.number<int>("dataset", 1);
+  const int trainPasses = options.number<int>("train", 3);
   const bool live = options.has("live");
-  const std::uint64_t baseSeed =
-      static_cast<std::uint64_t>(std::stoull(options.get("seed", "0")));
+  const std::uint64_t baseSeed = options.number<std::uint64_t>("seed", 0);
   const std::vector<std::string> families = splitList(options.get("apps", ""));
   const std::vector<std::string> policies =
       splitList(options.get("policies", "linux-ondemand,ge,proposed"));
@@ -712,7 +736,7 @@ int sweepCommand(const Options& options) {
   }
 
   exec::SweepOptions sweepOptions;
-  sweepOptions.jobs = static_cast<std::size_t>(std::stoul(options.get("jobs", "0")));
+  sweepOptions.jobs = options.number<std::size_t>("jobs", 0);
   // A sweep writing a perf report wants the hot-scope attribution with it.
   sweepOptions.collectScopes = options.has("json");
 
@@ -796,13 +820,13 @@ int faultsCommand(const Options& options) {
   if (options.has("big-little")) {
     campaign.runner.machine.coreTypes = platform::bigLittleCoreTypes();
   }
-  const int dataset = std::stoi(options.get("dataset", "1"));
+  const int dataset = options.number<int>("dataset", 1);
   for (const std::string& family :
        splitList(options.get("apps", "tachyon,mpeg_dec"))) {
     campaign.apps.push_back(workload::makeApp(family, dataset));
   }
   expects(!campaign.apps.empty(), "faults: --apps must name at least one app");
-  campaign.trainRepeats = std::stoi(options.get("train", "2"));
+  campaign.trainRepeats = options.number<int>("train", 2);
 
   campaign.scenarios.push_back({"clean", fault::FaultPlan{}});
   for (const std::string& file : scenarioFiles(bench::scenarioDir(options.get("scenarios", "")))) {
@@ -811,12 +835,11 @@ int faultsCommand(const Options& options) {
   }
 
   std::vector<exec::RunSpec> specs = bench::faultCampaignSpecs(campaign);
-  const std::uint64_t baseSeed =
-      static_cast<std::uint64_t>(std::stoull(options.get("seed", "0")));
+  const std::uint64_t baseSeed = options.number<std::uint64_t>("seed", 0);
   for (exec::RunSpec& spec : specs) spec.seed = baseSeed;
 
   exec::SweepOptions sweepOptions;
-  sweepOptions.jobs = static_cast<std::size_t>(std::stoul(options.get("jobs", "0")));
+  sweepOptions.jobs = options.number<std::size_t>("jobs", 0);
 
   ObsSetup obsSetup(options);
   const exec::SweepResult sweep = exec::SweepRunner(sweepOptions).run(specs);
@@ -860,9 +883,7 @@ int trainCommand(const Options& options) {
   const core::PolicyRunner runner(runnerConfig);
 
   core::ThermalManagerConfig managerConfig = config.manager;
-  if (options.has("seed")) {
-    managerConfig.seed = static_cast<std::uint64_t>(std::stoull(options.get("seed", "42")));
-  }
+  managerConfig.seed = options.number("seed", managerConfig.seed);
   auto manager = std::make_unique<core::ThermalManager>(
       managerConfig, core::ActionSpace::standard(runnerConfig.machine.coreCount));
   core::ThermalManager* managerPtr = manager.get();
@@ -872,8 +893,8 @@ int trainCommand(const Options& options) {
   superviseIfRequested(options, bundle);
 
   const workload::AppSpec app = workload::makeApp(
-      options.get("app", "tachyon"), std::stoi(options.get("dataset", "1")));
-  const int trainPasses = std::stoi(options.get("train", "3"));
+      options.get("app", "tachyon"), options.number<int>("dataset", 1));
+  const int trainPasses = options.number<int>("train", 3);
   expects(trainPasses > 0, "train: --train must be >= 1");
   const std::vector<workload::AppSpec> trainApps(static_cast<std::size_t>(trainPasses),
                                                  app);
@@ -914,7 +935,7 @@ int evalCommand(const Options& options) {
   superviseIfRequested(options, bundle);
 
   const workload::AppSpec app = workload::makeApp(
-      options.get("app", "tachyon"), std::stoi(options.get("dataset", "1")));
+      options.get("app", "tachyon"), options.number<int>("dataset", 1));
 
   ObsSetup obsSetup(options);
   const core::RunResult result =
@@ -1083,13 +1104,12 @@ int serveCommand(const Options& options) {
                  "queue-depth", "max-tenants", "events", "chrome-trace", "metrics"},
                 /*withCommon=*/false);
   serve::FleetServiceConfig config;
-  config.jobs = static_cast<std::size_t>(std::stoul(options.get("jobs", "0")));
-  config.sliceSeconds = std::stod(options.get("slice", "40"));
-  config.trainSimTime = std::stod(options.get("train-time", "2000"));
-  config.cacheCapacity = static_cast<std::size_t>(std::stoul(options.get("cache-cap", "8")));
-  config.admitQueueDepth =
-      static_cast<std::size_t>(std::stoul(options.get("queue-depth", "64")));
-  config.maxTenants = static_cast<std::size_t>(std::stoul(options.get("max-tenants", "4096")));
+  config.jobs = options.number<std::size_t>("jobs", 0);
+  config.sliceSeconds = options.number<double>("slice", 40.0);
+  config.trainSimTime = options.number<double>("train-time", 2000.0);
+  config.cacheCapacity = options.number<std::size_t>("cache-cap", 8);
+  config.admitQueueDepth = options.number<std::size_t>("queue-depth", 64);
+  config.maxTenants = options.number<std::size_t>("max-tenants", 4096);
 
   ObsSetup obsSetup(options);
   serve::FleetService service(config);

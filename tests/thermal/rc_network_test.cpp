@@ -9,6 +9,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "thermal/expop_cache.hpp"
 
 namespace rltherm::thermal {
 namespace {
@@ -158,31 +159,46 @@ TEST(RcNetworkTest, Rk4AgreesWithExactStep) {
   }
   EXPECT_NEAR(exact.temperature(a), rk4.temperature(a), 1e-6);
   EXPECT_NEAR(exact.temperature(b), rk4.temperature(b), 1e-6);
+}
 
-  // A 66-node heterogeneous grid under per-cell power plateaus of 50..400
-  // ticks: a plateau lets a wrong operator integrate its bias instead of
-  // averaging it out.
+// Independent physics oracle on a 66-node heterogeneous grid under per-cell
+// power plateaus of 50..400 ticks (a plateau lets a wrong operator integrate
+// its bias instead of averaging it out). Both ways a network obtains its
+// operators must agree with RK4: a cold prepare that computes them (cache
+// miss) and a warm prepare that shares the cached entry (cache hit).
+TEST(StepEquivalenceProperty, Rk4OracleAgreesWithBothPaths) {
   Rng rng(0x04AC1E);
-  RcNetwork grid = randomGrid(rng, 8, 8);
-  ASSERT_EQ(grid.nodeCount(), 66u);
-  RcNetwork gridRk4 = grid;
-  grid.prepare(0.01);
-  grid.setUniformTemperature(40.0);
-  gridRk4.setUniformTemperature(40.0);
-  std::vector<Watts> cellPower(grid.nodeCount(), 0.0);  // spreader, sink stay 0 W
-  double worst = 0.0;
+  const RcNetwork prototype = randomGrid(rng, 8, 8);
+  ASSERT_EQ(prototype.nodeCount(), 66u);
+  ExpOperatorCache& cache = ExpOperatorCache::instance();
+  cache.clear();
+  RcNetwork cold = prototype;
+  RcNetwork warm = prototype;
+  RcNetwork rk4 = prototype;
+  cold.prepare(0.01);
+  ASSERT_EQ(cache.stats().misses, 1u);
+  warm.prepare(0.01);
+  ASSERT_EQ(cache.stats().hits, 1u);
+  for (RcNetwork* n : {&cold, &warm, &rk4}) n->setUniformTemperature(40.0);
+
+  std::vector<Watts> cellPower(prototype.nodeCount(), 0.0);  // spreader, sink stay 0 W
+  double worstCold = 0.0;
+  double worstWarm = 0.0;
   for (std::size_t t = 0, nextPlateau = 0; t < 2000; ++t) {
     if (t == nextPlateau) {
       for (std::size_t i = 0; i + 2 < cellPower.size(); ++i) cellPower[i] = rng.uniform(0.0, 2.0);
       nextPlateau = t + 50 + rng.uniformInt(350);
     }
-    grid.step(cellPower);
-    gridRk4.stepRk4(cellPower, 0.01);
-    for (std::size_t i = 0; i < grid.nodeCount(); ++i) {
-      worst = std::max(worst, std::abs(grid.temperature(i) - gridRk4.temperature(i)));
+    cold.step(cellPower);
+    warm.step(cellPower);
+    rk4.stepRk4(cellPower, 0.01);
+    for (std::size_t i = 0; i < prototype.nodeCount(); ++i) {
+      worstCold = std::max(worstCold, std::abs(cold.temperature(i) - rk4.temperature(i)));
+      worstWarm = std::max(worstWarm, std::abs(warm.temperature(i) - rk4.temperature(i)));
     }
   }
-  EXPECT_LT(worst, 1e-3);
+  EXPECT_LT(worstCold, 1e-3);
+  EXPECT_LT(worstWarm, 1e-3);
 }
 
 TEST(RcNetworkTest, HeatFlowsFromHotToCold) {
